@@ -12,17 +12,11 @@
 //! then the two claims the issue pins:
 //!
 //! * **flat memory**: the live-object high-water mark (engine calendar +
-//!   pending + running + driver metadata + sprint timers + arrival batch +
+//!   pending + running + driver metadata + sprint timers + held arrival +
 //!   sketch nodes + window rows) of the full run must stay < 2× the
 //!   10×-shorter run's — per-job state must die with the job;
 //! * **throughput**: simulated completions per wall-clock second, expected
 //!   ≥ 10⁵ on the full-size run.
-//!
-//! The closing section sweeps the `arrival_batch` knob (the tpchlike
-//! logical/physical batching analogue): admitting k arrivals per release
-//! amortizes driver work but delays early jobs to the batch boundary, and
-//! since jobs keep true arrival stamps that delay surfaces as mean response
-//! — the throughput/latency trade, printed as a curve.
 
 use dias_bench::{banner, compare, scaled};
 use dias_core::{SoakExperiment, SoakReport, SprintBudget, SprintPolicy, WarmupRule};
@@ -155,37 +149,4 @@ fn main() {
         ">= 1e5 at full size",
         &format!("{:.2e}", plain.sim_jobs_per_sec),
     );
-
-    // ---- arrival-batch throughput/latency curve ----
-    println!();
-    banner(
-        "Batching knob",
-        "k arrivals admitted per release: driver amortization vs charged latency",
-    );
-    let curve_jobs = (jobs / 5).max(3);
-    println!(
-        "{:>6}  {:>14}  {:>12}  {:>12}  {:>10}",
-        "batch", "sim jobs/sec", "low mean", "high mean", "HWM"
-    );
-    // The four batch sizes are independent runs: fan them across the
-    // DIAS_THREADS-aware worker pool. Results come back in input order.
-    let curve = dias_core::run_parallel(vec![1usize, 4, 16, 64], dias_bench::threads(), |_, k| {
-        (
-            k,
-            base(curve_jobs)
-                .arrival_batch(k)
-                .run()
-                .expect("batched soak"),
-        )
-    });
-    for (k, r) in curve {
-        println!(
-            "{k:>6}  {:>14.3e}  {:>11.1}s  {:>11.1}s  {:>10}",
-            r.sim_jobs_per_sec,
-            r.mean_response(0),
-            r.mean_response(1),
-            r.live_high_water,
-        );
-    }
-    println!("\n(batching delays admission to the batch boundary; jobs keep true arrival stamps, so the delay lands in mean response.)");
 }

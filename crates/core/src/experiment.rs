@@ -1,13 +1,14 @@
-//! The closed-loop experiment runner: job source → priority buffers → deflator
-//! drops → engine, with optional sprinting — the harness behind every evaluation
-//! figure.
+//! The paper's experiment runner: a job source under one of the paper's
+//! policies (P, NP, DA, NPS, DiAS), run on the multi-job driver — the harness
+//! behind every evaluation figure.
 
 use std::fmt;
 
-use dias_des::SimTime;
-use dias_engine::{ClusterSim, ClusterSpec, EngineError, EngineEvent, JobInstance};
+use dias_engine::{
+    ClassPriority, ClassPriorityPreempt, ClusterSpec, EngineError, JobInstance, Scheduler,
+};
 
-use crate::{ClassStats, ExperimentReport, Policy, PriorityBuffers, QueuedJob, Sprinter};
+use crate::{ExperimentReport, MultiJobExperiment, Policy, Scheduling};
 
 /// A stream of sampled jobs with non-decreasing arrival times.
 ///
@@ -85,7 +86,8 @@ pub enum ExperimentError {
         /// Classes in the source.
         source: usize,
     },
-    /// The engine rejected an operation (a bug in the driving loop or the inputs).
+    /// The engine rejected an operation or the cluster specification (a bug
+    /// in the driving loop or the inputs).
     Engine(EngineError),
     /// A measured job was starved: the run processed far more completions than
     /// the measurement window and still could not finish it (the offered load
@@ -129,14 +131,18 @@ impl From<EngineError> for ExperimentError {
 /// A configured experiment: source + policy + cluster, measuring a fixed
 /// window of the arrival sequence.
 ///
+/// The paper's policies run on the multi-job driver with a whole-cluster
+/// class-priority scheduler: [`Scheduling::NonPreemptive`] maps to
+/// [`ClassPriority`], [`Scheduling::Preemptive`] to [`ClassPriorityPreempt`];
+/// each class's `theta_droppable` becomes its drop ratio and the policy's
+/// sprint settings drive the sprinter. The result is converted into an
+/// [`ExperimentReport`].
+///
 /// See the crate-level example.
 #[derive(Debug)]
 pub struct Experiment<S> {
-    source: S,
-    policy: Policy,
-    cluster: ClusterSpec,
-    jobs: usize,
-    warmup: usize,
+    inner: MultiJobExperiment<S>,
+    label: String,
 }
 
 impl<S: JobSource> Experiment<S> {
@@ -144,21 +150,27 @@ impl<S: JobSource> Experiment<S> {
     /// jobs (by arrival order) after a 10% warm-up.
     #[must_use]
     pub fn new(source: S, policy: Policy) -> Self {
+        let scheduler: Box<dyn Scheduler> = match policy.scheduling {
+            Scheduling::Preemptive => Box::new(ClassPriorityPreempt),
+            Scheduling::NonPreemptive => Box::new(ClassPriority),
+        };
+        let thetas: Vec<f64> = policy.classes.iter().map(|c| c.theta_droppable).collect();
+        let mut inner = MultiJobExperiment::new(source, scheduler).drops(&thetas);
+        if let Some(sprint) = policy.sprint {
+            inner = inner.sprint(sprint);
+        }
         Experiment {
-            source,
-            policy,
-            cluster: ClusterSpec::paper_reference(),
-            jobs: 1000,
-            warmup: 100,
+            inner,
+            label: policy.label,
         }
     }
 
-    /// Sets the number of measured jobs — arrivals `warmup..warmup + n` —
-    /// (warm-up defaults to 10% of it).
+    /// Sets the number of measured jobs — arrivals `warmup..warmup + n`
+    /// (warm-up defaults to 10% of it unless [`Experiment::warmup`] set it
+    /// explicitly; the two builder calls compose in any order).
     #[must_use]
     pub fn jobs(mut self, n: usize) -> Self {
-        self.jobs = n;
-        self.warmup = n / 10;
+        self.inner = self.inner.jobs(n);
         self
     }
 
@@ -166,14 +178,14 @@ impl<S: JobSource> Experiment<S> {
     /// measured.
     #[must_use]
     pub fn warmup(mut self, n: usize) -> Self {
-        self.warmup = n;
+        self.inner = self.inner.warmup(n);
         self
     }
 
     /// Overrides the cluster specification.
     #[must_use]
     pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.cluster = spec;
+        self.inner = self.inner.cluster(spec);
         self
     }
 
@@ -189,221 +201,14 @@ impl<S: JobSource> Experiment<S> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExperimentError::ClassMismatch`] when policy and source disagree on
-    /// the number of classes, or a wrapped engine error if dispatching fails.
-    pub fn run(mut self) -> Result<ExperimentReport, ExperimentError> {
-        let classes = self.source.classes();
-        if self.policy.classes() != classes {
-            return Err(ExperimentError::ClassMismatch {
-                policy: self.policy.classes(),
-                source: classes,
-            });
-        }
-
-        let mut engine = ClusterSim::new(self.cluster.clone());
-        let mut buffers = PriorityBuffers::new(classes);
-        let mut sprinter = self
-            .policy
-            .sprint
-            .clone()
-            .map(|p| Sprinter::new(p, self.cluster.sprint_extra_power_w()));
-        let mut running: Option<QueuedJob> = None;
-        let mut next_arrival = self.source.next_job();
-        let mut sprint_timer: Option<SimTime> = None;
-        let mut budget_deadline: Option<SimTime> = None;
-
-        let target = self.warmup + self.jobs;
-        let mut arrival_seq = 0usize;
-        let mut measured_done = 0usize;
-        let mut report = ExperimentReport {
-            policy: self.policy.label.clone(),
-            per_class: vec![ClassStats::default(); classes],
-            ..Default::default()
-        };
-        // Latency statistics cover exactly the measured arrival window; waste,
-        // energy and utilization span the whole run (until the last measured
-        // job completes). Every policy sees the identical arrival sequence,
-        // though the horizon — and hence the number of background completions
-        // — depends on how fast the policy clears the measured window.
-        let mut busy_wall = 0.0f64;
-        // Termination guard: with an infinite source and a saturating
-        // higher-priority load, a measured low-priority job can be starved
-        // forever. Cap total completions at a generous multiple of the window
-        // and report starvation instead of spinning.
-        let completion_cap = target.saturating_mul(64).saturating_add(1024);
-        let mut total_completions = 0usize;
-
-        while measured_done < self.jobs {
-            if total_completions > completion_cap {
-                return Err(ExperimentError::Starved {
-                    measured_done,
-                    target: self.jobs,
-                });
-            }
-            // Next event across the four sources; ties resolve in this order.
-            let engine_t = engine.next_event_time();
-            let arrival_t = next_arrival
-                .as_ref()
-                .map(|j| SimTime::from_secs(j.arrival_secs));
-            let candidates = [
-                engine_t,
-                budget_deadline.filter(|t| t.is_finite()),
-                sprint_timer,
-                arrival_t,
-            ];
-            let Some(next_t) = candidates.iter().flatten().copied().min() else {
-                break; // source exhausted, buffers empty, engine idle
-            };
-
-            if engine_t == Some(next_t) {
-                match engine.advance()? {
-                    EngineEvent::JobFinished { metrics, .. } => {
-                        let now = engine.now();
-                        if sprinter.as_ref().is_some_and(|s| s.is_sprinting()) {
-                            let s = sprinter.as_mut().expect("checked above");
-                            s.stop_sprint(now);
-                            engine.set_frequency(dias_engine::FreqLevel::Base);
-                        }
-                        sprint_timer = None;
-                        budget_deadline = None;
-
-                        let finished = running.take().expect("engine completed a job");
-                        busy_wall += metrics.execution_secs;
-                        report.total_work_secs += metrics.work_secs;
-                        report.sprint_secs += metrics.sprint_secs;
-                        total_completions += 1;
-                        let measured = finished
-                            .arrival_seq
-                            .is_some_and(|seq| (self.warmup..target).contains(&seq));
-                        if measured {
-                            measured_done += 1;
-                            let class = finished.instance.class();
-                            let stats = &mut report.per_class[class];
-                            let response = now - SimTime::ZERO - finished.instance.arrival_secs;
-                            stats.completed += 1;
-                            stats.response.push(response);
-                            stats.execution.push(metrics.execution_secs);
-                            stats
-                                .queueing
-                                .push((response - metrics.execution_secs).max(0.0));
-                            stats.evictions += u64::from(finished.evictions);
-                        }
-                        dispatch(
-                            &mut engine,
-                            &mut buffers,
-                            &self.policy,
-                            &mut running,
-                            &mut sprint_timer,
-                        )?;
-                    }
-                    _ => { /* task/stage/shuffle progress: nothing to do */ }
-                }
-            } else if budget_deadline == Some(next_t) {
-                engine.idle_until(next_t);
-                engine.set_frequency(dias_engine::FreqLevel::Base);
-                if let Some(s) = sprinter.as_mut() {
-                    s.stop_sprint(next_t);
-                }
-                budget_deadline = None;
-            } else if sprint_timer == Some(next_t) {
-                sprint_timer = None;
-                if running.is_some() {
-                    if let Some(s) = sprinter.as_mut() {
-                        if let Some(deadline) = s.start_sprint(next_t) {
-                            engine.idle_until(next_t);
-                            engine.set_frequency(dias_engine::FreqLevel::Sprint);
-                            budget_deadline = deadline.is_finite().then_some(deadline);
-                        }
-                    }
-                }
-            } else {
-                // Arrival.
-                let instance = next_arrival.take().expect("candidate implies presence");
-                next_arrival = self.source.next_job();
-                let arriving_class = instance.class();
-                buffers.push_arrival(QueuedJob::with_seq(instance, arrival_seq));
-                arrival_seq += 1;
-
-                if engine.is_idle() {
-                    engine.idle_until(next_t);
-                    dispatch(
-                        &mut engine,
-                        &mut buffers,
-                        &self.policy,
-                        &mut running,
-                        &mut sprint_timer,
-                    )?;
-                } else if self.policy.is_preemptive() {
-                    let running_class = running
-                        .as_ref()
-                        .map(|q| q.instance.class())
-                        .expect("engine busy implies a running job");
-                    if arriving_class > running_class {
-                        engine.idle_until(next_t);
-                        let evicted = engine.evict()?;
-                        if sprinter.as_ref().is_some_and(|s| s.is_sprinting()) {
-                            let s = sprinter.as_mut().expect("checked above");
-                            s.stop_sprint(next_t);
-                            engine.set_frequency(dias_engine::FreqLevel::Base);
-                        }
-                        sprint_timer = None;
-                        budget_deadline = None;
-                        busy_wall += evicted.wall_secs;
-                        report.wasted_work_secs += evicted.work_secs;
-                        report.total_work_secs += evicted.work_secs;
-                        report.sprint_secs += evicted.sprint_secs;
-                        report.evictions += 1;
-                        let victim = running.take().expect("engine was busy");
-                        buffers.push_evicted(victim);
-                        dispatch(
-                            &mut engine,
-                            &mut buffers,
-                            &self.policy,
-                            &mut running,
-                            &mut sprint_timer,
-                        )?;
-                    }
-                }
-            }
-        }
-
-        let end = engine.now();
-        report.horizon_secs = end - SimTime::ZERO;
-        report.energy_joules = engine.energy_joules();
-        report.idle_energy_joules = self
-            .cluster
-            .cluster_power_w(0, dias_engine::FreqLevel::Base)
-            * report.horizon_secs;
-        report.utilization = if report.horizon_secs > 0.0 {
-            (busy_wall / report.horizon_secs).min(1.0)
-        } else {
-            0.0
-        };
-        Ok(report)
+    /// Returns [`ExperimentError::ClassMismatch`] when policy and source
+    /// disagree on the number of classes, [`ExperimentError::Engine`] for an
+    /// invalid cluster specification, or [`ExperimentError::Starved`] when a
+    /// measured job cannot complete under the offered load.
+    pub fn run(self) -> Result<ExperimentReport, ExperimentError> {
+        let report = self.inner.run()?;
+        Ok(ExperimentReport::from_multi(self.label, report))
     }
-}
-
-/// Sends the head of the highest non-empty buffer into the idle engine and arms the
-/// sprint timer for its class.
-fn dispatch(
-    engine: &mut ClusterSim,
-    buffers: &mut PriorityBuffers,
-    policy: &Policy,
-    running: &mut Option<QueuedJob>,
-    sprint_timer: &mut Option<SimTime>,
-) -> Result<(), ExperimentError> {
-    debug_assert!(running.is_none());
-    if let Some(q) = buffers.pop_highest() {
-        let drops = policy.drops_for(&q.instance.spec);
-        engine.start_job(&q.instance, &drops)?;
-        if let Some(sprint) = &policy.sprint {
-            if let Some(timeout) = sprint.timeout_for(q.instance.class()) {
-                *sprint_timer = Some(engine.now() + timeout);
-            }
-        }
-        *running = Some(q);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -594,6 +399,40 @@ mod tests {
             .unwrap();
         let total: u64 = report.per_class.iter().map(|c| c.completed).sum();
         assert_eq!(total, 20);
+    }
+
+    #[test]
+    fn jobs_and_warmup_compose_in_either_order() {
+        let a = Experiment::new(workload(20, 5.0, 1.0), Policy::non_preemptive(2))
+            .warmup(0)
+            .jobs(20)
+            .run()
+            .unwrap();
+        let b = Experiment::new(workload(20, 5.0, 1.0), Policy::non_preemptive(2))
+            .jobs(20)
+            .warmup(0)
+            .run()
+            .unwrap();
+        assert_eq!(a, b);
+        // No warm-up in either order: all 20 arrivals are measured.
+        let total: u64 = a.per_class.iter().map(|c| c.completed).sum();
+        assert_eq!(total, 20);
+    }
+
+    #[test]
+    fn invalid_cluster_spec_is_an_error() {
+        let spec = ClusterSpec {
+            sprint_speedup: 1.0,
+            ..ClusterSpec::paper_reference()
+        };
+        let err = Experiment::new(workload(10, 5.0, 1.0), Policy::non_preemptive(2))
+            .cluster(spec)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, ExperimentError::Engine(EngineError::InvalidSpec(_))),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,18 +6,24 @@
 //!
 //! * **approximation** — the [`Policy`] assigns each priority class a task-drop
 //!   ratio `θ_k`, applied by the engine's dropper when the job is dispatched;
-//! * **sprinting** — after a class-dependent timeout `T_k`, the [`Sprinter`] raises
-//!   the cluster frequency under a replenishing energy budget.
+//! * **sprinting** — after a class-dependent timeout `T_k`, the sprinter
+//!   ([`MultiSprinter`]) raises the running job's frequency under a
+//!   replenishing energy budget ([`SprintPolicy`]).
 //!
-//! Architecture, mirroring the paper's Figure 3: jobs arrive into per-priority
-//! [`PriorityBuffers`]; the dispatcher sends the head of the highest non-empty
-//! buffer into the engine ([`dias_engine::ClusterSim`]) with the deflator-chosen
-//! drop ratios; the sprinter arms a timer for the dispatched job. The scheduling
-//! across buffers is **non-preemptive** under DiAS; the preemptive baseline `P`
-//! (evict + re-execute from scratch) is implemented for comparison, exactly as the
-//! prototype does for its baseline results.
+//! Architecture, mirroring the paper's Figure 3: the per-priority buffers and
+//! the dispatcher are an engine scheduler. A [`Policy`]'s [`Scheduling`] picks
+//! it — [`dias_engine::ClassPriority`] for the non-preemptive NP, DA and DiAS,
+//! [`dias_engine::ClassPriorityPreempt`] for the preemptive baseline `P`
+//! (evict + re-execute from scratch). Either places one job at a time on the
+//! whole cluster ([`dias_engine::ClusterSim`]) and backfills the highest
+//! waiting class, FCFS within a class. Each class's deflator ratio
+//! (`theta_droppable`) is applied when its jobs are submitted, and the
+//! policy's [`SprintPolicy`] arms a sprint timer for every dispatched job of
+//! a sprinting class. One driver loop ([`MultiJobExperiment`]) runs it all,
+//! so the paper's policies share the event order, fault injection and
+//! branching of the concurrent experiments.
 //!
-//! [`Experiment`] wires a job source, a policy and a cluster into a closed loop and
+//! [`Experiment`] wires a job source, a policy and a cluster into that loop and
 //! produces an [`ExperimentReport`] with per-class mean/p95 latencies, queueing and
 //! execution decompositions, resource waste and energy — the measurements behind
 //! every figure of the paper's evaluation.
@@ -56,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffers;
 mod degrade;
 mod experiment;
 pub mod federation;
@@ -68,7 +73,6 @@ mod sprinter;
 pub mod stream;
 pub mod sweep;
 
-pub use buffers::{PriorityBuffers, QueuedJob};
 pub use degrade::DegradationPolicy;
 pub use experiment::{Experiment, ExperimentError, JobSource, VecJobSource};
 pub use federation::{
@@ -78,7 +82,7 @@ pub use metrics::{ClassStats, ExperimentReport};
 pub use multi::{MultiClassStats, MultiJobExperiment, MultiJobReport, MultiRunTrace};
 pub use multi_sprint::MultiSprinter;
 pub use policy::{ClassPolicy, Policy, Scheduling};
-pub use sprinter::{SprintBudget, SprintPolicy, Sprinter};
+pub use sprinter::{SprintBudget, SprintPolicy};
 pub use stream::{SoakExperiment, SoakReport, SoakWindow, SoakWindowClass, WarmupRule};
 pub use sweep::{
     run_experiments, run_experiments_differential, run_multi_experiments,

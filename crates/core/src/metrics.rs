@@ -7,6 +7,8 @@ use serde::{Deserialize, Serialize};
 
 use dias_des::stats::SampleSet;
 
+use crate::MultiJobReport;
+
 /// Per-class outcome statistics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClassStats {
@@ -71,6 +73,51 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
+    /// Converts the multi-job driver's report of a paper policy run into the
+    /// paper's measurements: queueing is response minus final execution per
+    /// job, delivered work counts completed and evicted attempts, and
+    /// utilization is the attempts' wall time over the horizon (one job holds
+    /// the whole cluster at a time).
+    pub(crate) fn from_multi(policy: String, r: MultiJobReport) -> Self {
+        let per_class = r
+            .per_class
+            .into_iter()
+            .map(|c| {
+                let queueing = c
+                    .response
+                    .samples()
+                    .iter()
+                    .zip(c.execution.samples())
+                    .map(|(resp, exec)| (resp - exec).max(0.0))
+                    .collect();
+                ClassStats {
+                    completed: c.completed,
+                    response: c.response,
+                    queueing,
+                    execution: c.execution,
+                    evictions: c.evictions,
+                }
+            })
+            .collect();
+        let utilization = if r.horizon_secs > 0.0 {
+            (r.attempt_wall_secs / r.horizon_secs).min(1.0)
+        } else {
+            0.0
+        };
+        ExperimentReport {
+            policy,
+            per_class,
+            wasted_work_secs: r.wasted_work_secs,
+            total_work_secs: r.total_work_secs + r.wasted_work_secs,
+            evictions: r.evictions,
+            energy_joules: r.energy_joules,
+            idle_energy_joules: r.idle_energy_joules,
+            horizon_secs: r.horizon_secs,
+            utilization,
+            sprint_secs: r.sprint_secs,
+        }
+    }
+
     /// Statistics of class `k`.
     ///
     /// # Panics

@@ -2,15 +2,19 @@
 //! engine's scheduler, with per-class latency, energy and approximation-loss
 //! reporting.
 //!
-//! [`Experiment`](crate::Experiment) reproduces the paper's architecture: one
-//! job at a time in the engine, queueing and preemption handled *outside* by
-//! [`PriorityBuffers`](crate::PriorityBuffers). [`MultiJobExperiment`] is the
-//! concurrent counterpart: every arrival is [`ClusterSim::submit_job`]ed
-//! immediately and the engine's [`Scheduler`] policy decides whether it runs
-//! beside the current jobs on a disjoint slot subset
-//! ([`GangBinPack`](dias_engine::GangBinPack)), waits in the engine's pending
-//! queue, or evicts lower-class jobs
-//! ([`PriorityPreempt`](dias_engine::PriorityPreempt)). The
+//! [`MultiJobExperiment`] is the one driver loop of the workspace: every
+//! arrival is [`ClusterSim::submit_job`]ed immediately and the engine's
+//! [`Scheduler`] policy decides whether it runs beside the current jobs on a
+//! disjoint slot subset ([`GangBinPack`](dias_engine::GangBinPack)), waits in
+//! the engine's pending queue, or evicts lower-class jobs
+//! ([`PriorityPreempt`](dias_engine::PriorityPreempt)). The paper's policies
+//! are two such schedulers: [`Experiment`](crate::Experiment) maps a
+//! [`Policy`](crate::Policy)'s scheduling to
+//! [`ClassPriority`](dias_engine::ClassPriority) (NP, DA, DiAS) or
+//! [`ClassPriorityPreempt`](dias_engine::ClassPriorityPreempt) (P) — one job
+//! at a time on the whole cluster, highest class first, FCFS within a class
+//! — its per-class `theta_droppable` to [`MultiJobExperiment::drops`] and its
+//! sprint settings to [`MultiJobExperiment::sprint`]. The
 //! engine's per-job [`EnergyMeter`](dias_engine::EnergyMeter) attribution is
 //! harvested per completion, so the report can split the cluster's active
 //! energy by priority class — the measurement the paper's energy discussion
@@ -181,6 +185,12 @@ pub struct MultiJobReport {
     pub evictions: u64,
     /// Slot-seconds busy across all jobs and attempts.
     pub busy_slot_secs: f64,
+    /// Wall-clock seconds of every attempt, completed and evicted, summed in
+    /// event order (a cluster-wide job's busy time).
+    pub attempt_wall_secs: f64,
+    /// Wall-clock seconds attempts spent at sprint frequency, completed and
+    /// evicted, summed in event order.
+    pub sprint_secs: f64,
     /// Average fraction of the cluster's slot capacity in use.
     pub utilization: f64,
     /// Joules the sprint budget spent over the run (0 without a sprint policy
@@ -487,12 +497,13 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// Runs the closed loop until the measured jobs complete (or the source
     /// is exhausted) and reports the measurements.
     ///
-    /// Measurement is keyed on *arrival order* exactly as in
-    /// [`Experiment::run`](crate::Experiment::run), so reports are directly
-    /// comparable across scheduler policies. Energy, waste and utilization
-    /// span the whole run. With a sprint policy configured, per-attempt sprint
-    /// timers, budget-depletion stops and per-gang domain switches are
-    /// interleaved with engine events and arrivals at exact event times.
+    /// Measurement is keyed on *arrival order*, not completion order: the
+    /// jobs measured are arrivals `warmup..warmup + jobs`, so reports are
+    /// directly comparable across scheduler policies. Energy, waste and
+    /// utilization span the whole run. With a sprint policy configured,
+    /// per-attempt sprint timers, budget-depletion stops and per-gang domain
+    /// switches are interleaved with engine events and arrivals at exact
+    /// event times.
     ///
     /// # Errors
     ///
@@ -837,16 +848,17 @@ pub(crate) struct CompletionObs {
     pub(crate) completed_at_secs: f64,
 }
 
-/// The closed-loop driver behind [`MultiJobExperiment::run`], factored out so
-/// a run can be checkpointed at arrival boundaries and resumed from one.
+/// The driver behind [`MultiJobExperiment::run`] — and behind the paper's
+/// [`Experiment`](crate::Experiment), the open-system soak and every
+/// federation shard — factored out so a run can be checkpointed at arrival
+/// boundaries and resumed from one.
 ///
 /// Everything the loop carries across iterations lives in a field here;
 /// [`TraceHook`] clones the lot into a [`MultiCheckpoint`] and
-/// [`MultiDriver::resume`] puts it back. The loop arms are factored into the
-/// `handle_*`/`admit`/`drain_dispatches` methods so the open-system soak
-/// driver (`crate::stream`) can re-compose them around a batched arrival
-/// stream; [`MultiDriver::drive`] recombines them into exactly the PR 4–7
-/// loop, so a plain run is bit-identical to the pre-refactor code.
+/// [`MultiDriver::resume`] puts it back. Every composition of the loop is
+/// [`MultiDriver::next_arm`] arbitration plus [`MultiDriver::step`]
+/// execution followed by [`MultiDriver::drain_dispatches`]; they differ only
+/// in where completions are recorded and when the loop stops.
 pub(crate) struct MultiDriver<S> {
     // Immutable configuration.
     thetas: Option<Vec<f64>>,
@@ -947,8 +959,8 @@ impl<S: JobSource> MultiDriver<S> {
             warmup,
             target,
             jobs: exp.jobs,
-            // Termination guard, as in `Experiment::run`: under saturating
-            // higher-class load a measured job may never complete.
+            // Termination guard: under saturating higher-class load a
+            // measured job may never complete.
             completion_cap: target.saturating_mul(64).saturating_add(1024),
             total_slots,
             source: exp.source,
@@ -1027,15 +1039,44 @@ impl<S: JobSource> MultiDriver<S> {
     /// Tie-breaking at equal timestamps is fixed — engine event, then budget
     /// depletion, then sprint timers, then faults, then the arrival — so
     /// runs are deterministic whatever the configuration. Every composition
-    /// of the loop (closed [`MultiDriver::drive`], the soak's batched
-    /// arrival loop, the federation's epoch-bounded shard advance) inherits
-    /// the same order by construction.
+    /// of the loop (closed [`MultiDriver::drive`], the soak's open loop, the
+    /// federation's epoch-bounded shard advance) inherits the same order by
+    /// construction.
     pub(crate) fn next_arm(&mut self) -> Option<(SimTime, LoopArm)> {
         let arrival_t = self
             .next_arrival
             .as_ref()
             .map(|j| SimTime::from_secs(j.arrival_secs));
-        let [engine_t, depletion_t, timer_t, fault_t] = self.machine_times(arrival_t.is_some());
+        let engine_t = self.engine.next_event_time();
+        let depletion_t = self
+            .sprinter
+            .as_ref()
+            .and_then(MultiSprinter::depletion_time);
+        // Purge timers whose attempt is dead (job finished, or evicted —
+        // a re-dispatch arms a fresh timer under a bumped attempt). A
+        // stale timer must not keep the clock running past the last real
+        // event, or a finite source's horizon (and idle energy) would
+        // grow a phantom tail.
+        {
+            let meta = &self.meta;
+            let engine = &self.engine;
+            self.timers.retain(|t| {
+                meta.get(&t.job).is_some_and(|m| m.attempt == t.attempt)
+                    && engine.job_frequency(t.job).is_some()
+            });
+        }
+        let timer_t = self.timers.iter().map(|t| t.at).min();
+        // Fault events only matter while work remains (arrivals ahead or
+        // jobs running/pending): once the run is winding down, a tail of
+        // repairs must not stretch the horizon with phantom idle time.
+        let fault_t = if arrival_t.is_some() || !self.engine.is_idle() {
+            self.faults
+                .events()
+                .get(self.fault_idx)
+                .map(|e| SimTime::from_secs(e.at_secs))
+        } else {
+            None
+        };
         let next_t = [engine_t, depletion_t, timer_t, fault_t, arrival_t]
             .iter()
             .flatten()
@@ -1106,46 +1147,6 @@ impl<S: JobSource> MultiDriver<S> {
         }
     }
 
-    /// Event times of the four machine-side event families in the loop's tie
-    /// order — engine event, sprint-budget depletion, sprint timers (stale
-    /// ones purged here) and faults. `arrivals_pending` tells the fault gate
-    /// whether the arrival stream still has undelivered work; the caller owns
-    /// the arrival time itself, which is what lets the soak driver batch
-    /// releases without re-implementing any of this.
-    pub(crate) fn machine_times(&mut self, arrivals_pending: bool) -> [Option<SimTime>; 4] {
-        let engine_t = self.engine.next_event_time();
-        let depletion_t = self
-            .sprinter
-            .as_ref()
-            .and_then(MultiSprinter::depletion_time);
-        // Purge timers whose attempt is dead (job finished, or evicted —
-        // a re-dispatch arms a fresh timer under a bumped attempt). A
-        // stale timer must not keep the clock running past the last real
-        // event, or a finite source's horizon (and idle energy) would
-        // grow a phantom tail.
-        {
-            let meta = &self.meta;
-            let engine = &self.engine;
-            self.timers.retain(|t| {
-                meta.get(&t.job).is_some_and(|m| m.attempt == t.attempt)
-                    && engine.job_frequency(t.job).is_some()
-            });
-        }
-        let timer_t = self.timers.iter().map(|t| t.at).min();
-        // Fault events only matter while work remains (arrivals ahead or
-        // jobs running/pending): once the run is winding down, a tail of
-        // repairs must not stretch the horizon with phantom idle time.
-        let fault_t = if arrivals_pending || !self.engine.is_idle() {
-            self.faults
-                .events()
-                .get(self.fault_idx)
-                .map(|e| SimTime::from_secs(e.at_secs))
-        } else {
-            None
-        };
-        [engine_t, depletion_t, timer_t, fault_t]
-    }
-
     /// Advances the engine one event and, when a job finished, observes it:
     /// completion counters, work/energy books, and the metadata-derived
     /// response decomposition. Recording the observation into per-class
@@ -1153,7 +1154,7 @@ impl<S: JobSource> MultiDriver<S> {
     /// for the closed loop, window accountants for the soak), so the energy
     /// ledger drain and the statistics pushes touch disjoint accumulators in
     /// either composition.
-    pub(crate) fn handle_engine_event(
+    fn handle_engine_event(
         &mut self,
         next_t: SimTime,
     ) -> Result<Option<CompletionObs>, ExperimentError> {
@@ -1167,6 +1168,8 @@ impl<S: JobSource> MultiDriver<S> {
         }
         self.total_completions += 1;
         self.report.total_work_secs += metrics.work_secs;
+        self.report.attempt_wall_secs += metrics.execution_secs;
+        self.report.sprint_secs += metrics.sprint_secs;
         let m = self.meta.remove(&job).expect("finished job was submitted");
         let response = self.engine.now().as_secs() - m.arrival_secs;
         // Queueing straight from the engine's dispatch log: plain waiting
@@ -1212,7 +1215,7 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Budget dry: every sprinting domain drops to base together.
-    pub(crate) fn handle_depletion(&mut self, next_t: SimTime) {
+    fn handle_depletion(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self
             .sprinter
@@ -1227,7 +1230,7 @@ impl<S: JobSource> MultiDriver<S> {
 
     /// Per-attempt sprint timers: start each due job's domain if its attempt
     /// still runs and the budget has joules left.
-    pub(crate) fn handle_timers(&mut self, next_t: SimTime) {
+    fn handle_timers(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self.sprinter.as_mut().expect("timers imply a sprinter");
         let mut due = Vec::new();
@@ -1258,7 +1261,7 @@ impl<S: JobSource> MultiDriver<S> {
     /// Victims of failed slots re-queue at the pending head inside the
     /// engine; here they are accounted exactly like preemption victims, plus
     /// the failure counters.
-    pub(crate) fn handle_faults(&mut self, next_t: SimTime) -> Result<(), ExperimentError> {
+    fn handle_faults(&mut self, next_t: SimTime) -> Result<(), ExperimentError> {
         self.engine.idle_until(next_t);
         while let Some(e) = self.faults.events().get(self.fault_idx).copied() {
             if SimTime::from_secs(e.at_secs) != next_t {
@@ -1270,6 +1273,8 @@ impl<S: JobSource> MultiDriver<S> {
                 self.report.failure_evictions += 1;
                 self.report.wasted_work_secs += lost.work_secs;
                 self.report.failure_lost_work_secs += lost.work_secs;
+                self.report.attempt_wall_secs += lost.wall_secs;
+                self.report.sprint_secs += lost.sprint_secs;
                 if let Some(s) = self.sprinter.as_mut() {
                     // A failed sprinting gang stops draining the
                     // budget; its timer dies with the attempt.
@@ -1306,14 +1311,8 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Submits one drawn arrival to the engine's scheduler at `next_t` and
-    /// accounts any preemption evictions it causes. The caller decides *when*
-    /// to release the job (and has already drawn its successor, keeping the
-    /// source's draw order independent of release batching).
-    pub(crate) fn admit(
-        &mut self,
-        instance: JobInstance,
-        next_t: SimTime,
-    ) -> Result<(), ExperimentError> {
+    /// accounts any preemption evictions it causes.
+    fn admit(&mut self, instance: JobInstance, next_t: SimTime) -> Result<(), ExperimentError> {
         let class = instance.class();
         assert!(class < self.classes, "job class out of range");
         // Per-stage drop vector under the class's theta (droppable stages
@@ -1354,6 +1353,8 @@ impl<S: JobSource> MultiDriver<S> {
         for (victim, lost) in evicted {
             self.report.evictions += 1;
             self.report.wasted_work_secs += lost.work_secs;
+            self.report.attempt_wall_secs += lost.wall_secs;
+            self.report.sprint_secs += lost.sprint_secs;
             if let Some(s) = self.sprinter.as_mut() {
                 // A sprinting victim stops draining the budget; its
                 // timer dies with the attempt (stale-attempt check).
@@ -1403,13 +1404,6 @@ impl<S: JobSource> MultiDriver<S> {
         }
     }
 
-    /// Hands over the eagerly drawn first arrival: an external arrival loop
-    /// (the soak driver) owns batching and draws the rest from
-    /// [`MultiDriver::source`] itself.
-    pub(crate) fn take_next_arrival(&mut self) -> Option<JobInstance> {
-        self.next_arrival.take()
-    }
-
     /// Engine events processed so far.
     pub(crate) fn events_done(&self) -> u64 {
         self.events_done
@@ -1424,15 +1418,16 @@ impl<S: JobSource> MultiDriver<S> {
     }
 
     /// Live driver+engine objects right now: calendar entries, pending and
-    /// running jobs, job metadata records and armed sprint timers. The soak
-    /// harness adds its own arrival buffer and sketch nodes on top to form
-    /// the peak-RSS proxy.
+    /// running jobs, job metadata records, armed sprint timers and the drawn
+    /// arrival the driver holds. The soak harness adds its sketch nodes on
+    /// top to form the peak-RSS proxy.
     pub(crate) fn live_objects(&self) -> usize {
         self.engine.pending_events()
             + self.engine.pending_jobs()
             + self.engine.running_count()
             + self.meta.len()
             + self.timers.len()
+            + usize::from(self.next_arrival.is_some())
     }
 
     /// Closes the books: in-flight energy attribution, horizon, utilization

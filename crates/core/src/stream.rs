@@ -6,26 +6,20 @@
 //! job in exact [`SampleSet`](dias_des::stats::SampleSet)s — fine for a few
 //! hundred thousand jobs, fatal for the ROADMAP's "heavy traffic from
 //! millions of users". [`SoakExperiment`] is the open-system counterpart: it
-//! re-composes the `MultiDriver` loop arms around a continuous
-//! marked-Poisson [`JobSource`] (e.g.
+//! runs the `MultiDriver` loop over a continuous marked-Poisson
+//! [`JobSource`] (e.g.
 //! `dias_workloads::heterogeneous_width_two_priority`) and records
 //! completions into [`StreamingSummary`] backends — exact count/mean/M2 plus
 //! a Greenwald–Khanna quantile sketch with rank error ≤ εn — so per-class
 //! state stays bounded however long the run.
 //!
-//! Three knobs shape a soak:
+//! Two knobs shape a soak:
 //!
 //! * **Warm-up** ([`WarmupRule`]): either a fixed arrival count (exactly
 //!   [`MultiJobExperiment::warmup`]'s semantics) or MSER-style detection —
 //!   buffer a calibration prefix of completions, pick the truncation point
 //!   `d` minimizing `MSER(d) = s²_d / (n − d)` over the pooled response
 //!   series, and discard the first `d` completions as initialization bias.
-//! * **Arrival batching** (`arrival_batch`): admit `k` drawn arrivals per
-//!   release, at the *latest* arrival time in the batch. The batching delay
-//!   is charged to response time (jobs keep their true arrival timestamps),
-//!   making the latency cost of coarser admission visible while the driver
-//!   loop amortizes its per-release work — the logical/physical batching
-//!   trade the tpchlike streaming evaluation exposes.
 //! * **Windows** (`window_jobs`): tumbling windows of measured completions,
 //!   each closed into a scalar [`SoakWindow`] row (per-class p50/p95/p99,
 //!   drop fraction, SLO attainment, energy) and then *reset*, so telemetry
@@ -34,17 +28,16 @@
 //! The [`SoakReport`] carries throughput figures (simulated jobs per
 //! wall-clock second) and a peak-RSS proxy: the high-water mark of live
 //! driver/engine objects (calendar entries, pending and running jobs, job
-//! metadata, sprint timers, the arrival batch) plus sketch nodes. A soak
+//! metadata, sprint timers, the held arrival) plus sketch nodes. A soak
 //! whose memory grows with run length shows up as a rising high-water mark
 //! long before the process OOMs.
 
 use std::time::Instant;
 
 use dias_des::stats::{SampleStats, StreamingSummary, DEFAULT_SKETCH_EPSILON};
-use dias_des::SimTime;
-use dias_engine::{ClusterSpec, FaultTrace, JobInstance, Scheduler};
+use dias_engine::{ClusterSpec, FaultTrace, Scheduler};
 
-use crate::multi::{CompletionObs, MultiDriver};
+use crate::multi::{CompletionObs, MultiDriver, NoHook};
 use crate::{
     DegradationPolicy, ExperimentError, JobSource, MultiClassStats, MultiJobExperiment,
     MultiJobReport, SprintPolicy,
@@ -54,8 +47,8 @@ use crate::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmupRule {
     /// The first `n` *arrivals* are processed but not measured — identical to
-    /// [`MultiJobExperiment::warmup`], which is what makes an
-    /// `arrival_batch = 1` soak bit-comparable to the closed driver.
+    /// [`MultiJobExperiment::warmup`], which is what makes the soak
+    /// bit-comparable to the closed driver.
     Arrivals(usize),
     /// MSER-style detection: buffer the first `calibration` completions,
     /// truncate the `d` minimizing `MSER(d) = s²_d / (n − d)` over the
@@ -126,10 +119,8 @@ pub struct SoakReport {
     /// under [`WarmupRule::Mser`], or out-of-window completions under
     /// [`WarmupRule::Arrivals`].
     pub warmup_jobs: u64,
-    /// Arrivals admitted per release (the batching knob).
-    pub arrival_batch: usize,
     /// High-water mark of live objects: engine calendar entries + pending +
-    /// running jobs + driver metadata + sprint timers + arrival batch +
+    /// running jobs + driver metadata + sprint timers + the held arrival +
     /// sketch nodes + window rows. The run-length-independent peak-RSS
     /// proxy.
     pub live_high_water: usize,
@@ -154,7 +145,6 @@ impl SoakReport {
             && self.windows == other.windows
             && self.measured_jobs == other.measured_jobs
             && self.warmup_jobs == other.warmup_jobs
-            && self.arrival_batch == other.arrival_batch
             && self.live_high_water == other.live_high_water
             && self.events == other.events
     }
@@ -209,7 +199,6 @@ impl SoakReport {
 /// let report = SoakExperiment::new(VecJobSource::new(jobs, 2), Box::new(dias_engine::GangBinPack))
 ///     .jobs(400)
 ///     .warmup(WarmupRule::Mser { calibration: 0 })
-///     .arrival_batch(4)
 ///     .run()
 ///     .unwrap();
 /// assert_eq!(report.measured_jobs, 400);
@@ -221,14 +210,13 @@ pub struct SoakExperiment<S> {
     inner: MultiJobExperiment<S>,
     jobs: usize,
     warmup: WarmupRule,
-    arrival_batch: usize,
     window_jobs: usize,
     epsilon: f64,
 }
 
 impl<S: JobSource> SoakExperiment<S> {
     /// Creates a soak on the paper's reference cluster: 100k measured jobs,
-    /// MSER warm-up, one arrival per release, self-sized windows
+    /// MSER warm-up, self-sized windows
     /// (`jobs / 50`), sketches at the default ε = 1%.
     #[must_use]
     pub fn new(source: S, scheduler: Box<dyn Scheduler>) -> Self {
@@ -236,7 +224,6 @@ impl<S: JobSource> SoakExperiment<S> {
             inner: MultiJobExperiment::new(source, scheduler),
             jobs: 100_000,
             warmup: WarmupRule::Mser { calibration: 0 },
-            arrival_batch: 1,
             window_jobs: 0,
             epsilon: DEFAULT_SKETCH_EPSILON,
         }
@@ -253,19 +240,6 @@ impl<S: JobSource> SoakExperiment<S> {
     #[must_use]
     pub fn warmup(mut self, rule: WarmupRule) -> Self {
         self.warmup = rule;
-        self
-    }
-
-    /// Sets the batching knob: `k` arrivals are drawn ahead and admitted
-    /// together at the latest of their arrival times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    #[must_use]
-    pub fn arrival_batch(mut self, k: usize) -> Self {
-        assert!(k > 0, "arrival batch must admit at least one job");
-        self.arrival_batch = k;
         self
     }
 
@@ -356,12 +330,12 @@ impl<S: JobSource> SoakExperiment<S> {
     /// drains) and reports streaming statistics, windows, throughput and the
     /// live-object high-water mark.
     ///
-    /// With `arrival_batch = 1` and [`WarmupRule::Arrivals`] over a finite
-    /// source, the operation sequence this executes is the closed driver's
-    /// loop exactly — same draw order, same tie order (engine event → budget
-    /// depletion → sprint timers → faults → release), same books — so the
-    /// engine-side totals are bit-identical to [`MultiJobExperiment::run`]'s
-    /// (asserted by `crates/core/tests/soak_properties.rs`).
+    /// With [`WarmupRule::Arrivals`] over a finite source, the operation
+    /// sequence this executes is the closed driver's loop exactly — same
+    /// draw order, same tie order (engine event → budget depletion → sprint
+    /// timers → faults → arrival), same books — so the engine-side totals are
+    /// bit-identical to [`MultiJobExperiment::run`]'s (asserted by
+    /// `crates/core/tests/soak_properties.rs`).
     ///
     /// # Errors
     ///
@@ -402,20 +376,6 @@ impl<S: JobSource> SoakExperiment<S> {
             .saturating_add(1024);
 
         let mut books = SoakBooks::new(classes, self.epsilon, slos, window_jobs, calibration);
-        let k = self.arrival_batch;
-        let mut batch: Vec<JobInstance> = Vec::with_capacity(k);
-        // The driver draws the first arrival eagerly at build time; the soak
-        // owns batching from there on, so take it over and top the batch up.
-        if let Some(first) = driver.take_next_arrival() {
-            batch.push(first);
-        }
-        while batch.len() < k {
-            match driver.source.next_job() {
-                Some(j) => batch.push(j),
-                None => break,
-            }
-        }
-
         let wall_start = Instant::now();
         let mut live_high_water = 0usize;
         while books.measured < jobs {
@@ -425,50 +385,15 @@ impl<S: JobSource> SoakExperiment<S> {
                     target: jobs,
                 });
             }
-            // A batch releases at the *latest* arrival it holds: earlier
-            // jobs wait for the batch boundary, and that wait is charged to
-            // their response times (arrival timestamps stay truthful).
-            let release_t = batch
-                .iter()
-                .map(|j| SimTime::from_secs(j.arrival_secs))
-                .max();
-            let [engine_t, depletion_t, timer_t, fault_t] = driver.machine_times(!batch.is_empty());
-            let Some(next_t) = [engine_t, depletion_t, timer_t, fault_t, release_t]
-                .iter()
-                .flatten()
-                .copied()
-                .min()
-            else {
+            let Some((next_t, arm)) = driver.next_arm() else {
                 break; // source exhausted, engine drained
             };
-
-            // Same fixed tie order as the closed driver: engine event, then
-            // budget depletion, then sprint timers, then faults, then the
-            // batch release.
-            if engine_t == Some(next_t) {
-                if let Some(obs) = driver.handle_engine_event(next_t)? {
-                    books.observe(&obs, driver.engine.energy_joules());
-                }
-            } else if depletion_t == Some(next_t) {
-                driver.handle_depletion(next_t);
-            } else if timer_t == Some(next_t) {
-                driver.handle_timers(next_t);
-            } else if fault_t == Some(next_t) {
-                driver.handle_faults(next_t)?;
-            } else {
-                for instance in batch.drain(..) {
-                    driver.admit(instance, next_t)?;
-                }
-                while batch.len() < k {
-                    match driver.source.next_job() {
-                        Some(j) => batch.push(j),
-                        None => break,
-                    }
-                }
+            if let Some(obs) = driver.step(next_t, arm, &mut NoHook)? {
+                books.observe(&obs, driver.engine.energy_joules());
             }
             driver.drain_dispatches();
 
-            let live = driver.live_objects() + batch.len() + books.live_nodes();
+            let live = driver.live_objects() + books.live_nodes();
             live_high_water = live_high_water.max(live);
         }
         // A finite source can drain mid-calibration: measure what the buffer
@@ -486,7 +411,6 @@ impl<S: JobSource> SoakExperiment<S> {
             windows: books.windows,
             measured_jobs: books.measured as u64,
             warmup_jobs: books.warmup_jobs,
-            arrival_batch: k,
             live_high_water,
             events,
             wall_clock_secs,

@@ -3,8 +3,8 @@
 //!
 //! Three contracts:
 //!
-//! 1. **Closed-driver equivalence.** A soak with `arrival_batch = 1` and a
-//!    fixed arrival warm-up over a finite source executes the exact
+//! 1. **Closed-driver equivalence.** A soak with a fixed arrival warm-up
+//!    over a finite source executes the exact
 //!    operation sequence of [`MultiJobExperiment::run`] — so every
 //!    engine-side total (horizon, energy split, waste, utilization, sprint
 //!    budget books, capacity timeline, per-class energy harvest) must be
@@ -12,9 +12,9 @@
 //!    up to the Welford-vs-naive-sum summation difference (≤ 1e-9
 //!    relative; the streaming backend accumulates mean/M2 incrementally, so
 //!    bitwise equality of means is not the contract — value equality is).
-//! 2. **Rerun determinism.** Any `arrival_batch`, with sprint + faults +
-//!    degradation in play, reproduces the same [`SoakReport`] (modulo
-//!    wall-clock fields) when rerun — `SoakReport::same_simulation`.
+//! 2. **Rerun determinism.** With sprint + faults + SLOs in play, a soak
+//!    reproduces the same [`SoakReport`] (modulo wall-clock fields) when
+//!    rerun — `SoakReport::same_simulation`.
 //! 3. **Window concatenation.** Tumbling windows partition the measured
 //!    stream: per-class completion/SLO counts sum exactly to the lifetime
 //!    books, and completion-weighted window means recompose the lifetime
@@ -83,12 +83,11 @@ fn closed(scheduler: Box<dyn Scheduler>, seed: u64) -> MultiJobExperiment<VecJob
         .slos(&[400.0, 150.0])
 }
 
-/// The identically configured soak (fixed arrival warm-up, batch 1).
+/// The identically configured soak (fixed arrival warm-up).
 fn soak(scheduler: Box<dyn Scheduler>, seed: u64) -> SoakExperiment<VecJobSource> {
     SoakExperiment::new(workload(seed, 400, 6.0), scheduler)
         .jobs(220)
         .warmup(WarmupRule::Arrivals(40))
-        .arrival_batch(1)
         .window_jobs(50)
         .drops(&[0.3, 0.0])
         .sprint(SprintPolicy::top_class(
@@ -207,54 +206,25 @@ fn batch_one_soak_is_bit_identical_to_closed_driver_on_shared_metrics() {
 
 #[test]
 fn soak_reruns_are_bitwise_deterministic_at_any_batch() {
-    for batch in [1usize, 3, 16] {
-        let run = |_: ()| -> SoakReport {
-            SoakExperiment::new(workload(77, 500, 5.0), Box::new(PriorityPreempt))
-                .jobs(250)
-                .warmup(WarmupRule::Mser { calibration: 60 })
-                .arrival_batch(batch)
-                .window_jobs(40)
-                .drops(&[0.2, 0.0])
-                .sprint(SprintPolicy::top_class(
-                    2,
-                    15.0,
-                    SprintBudget::limited(40_000.0, 30.0),
-                ))
-                .faults(renewal_trace(0xbeef))
-                .slos(&[300.0, 120.0])
-                .run()
-                .expect("soak run")
-        };
-        let a = run(());
-        let b = run(());
-        assert!(
-            a.same_simulation(&b),
-            "batch {batch}: reruns diverged\n{a:#?}\n{b:#?}"
-        );
-    }
-}
-
-#[test]
-fn batching_charges_latency_but_preserves_throughput_accounting() {
-    let run = |batch: usize| {
-        SoakExperiment::new(workload(55, 600, 4.0), Box::new(GangBinPack))
-            .jobs(300)
-            .warmup(WarmupRule::Arrivals(30))
-            .arrival_batch(batch)
+    let run = || -> SoakReport {
+        SoakExperiment::new(workload(77, 500, 5.0), Box::new(PriorityPreempt))
+            .jobs(250)
+            .warmup(WarmupRule::Mser { calibration: 60 })
+            .window_jobs(40)
+            .drops(&[0.2, 0.0])
+            .sprint(SprintPolicy::top_class(
+                2,
+                15.0,
+                SprintBudget::limited(40_000.0, 30.0),
+            ))
+            .faults(renewal_trace(0xbeef))
+            .slos(&[300.0, 120.0])
             .run()
             .expect("soak run")
     };
-    let fine = run(1);
-    let coarse = run(32);
-    assert_eq!(fine.measured_jobs, coarse.measured_jobs);
-    // Waiting for a 32-batch boundary delays admission; jobs keep their true
-    // arrival stamps, so the delay must surface as added mean response.
-    let fine_mean: f64 = (0..2).map(|k| fine.mean_response(k)).sum();
-    let coarse_mean: f64 = (0..2).map(|k| coarse.mean_response(k)).sum();
-    assert!(
-        coarse_mean > fine_mean,
-        "batching hid its latency cost: {coarse_mean} <= {fine_mean}"
-    );
+    let a = run();
+    let b = run();
+    assert!(a.same_simulation(&b), "reruns diverged\n{a:#?}\n{b:#?}");
 }
 
 #[test]
@@ -262,7 +232,6 @@ fn windows_concatenate_exactly_to_lifetime_books() {
     let report = SoakExperiment::new(workload(21, 500, 5.0), Box::new(GangBinPack))
         .jobs(260)
         .warmup(WarmupRule::Mser { calibration: 80 })
-        .arrival_batch(4)
         .window_jobs(37) // deliberately not a divisor: last window partial
         .slos(&[500.0, 200.0])
         .run()

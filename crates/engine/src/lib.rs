@@ -8,6 +8,9 @@
 //! subsets**, chosen by a pluggable [`Scheduler`] policy:
 //!
 //! * [`Fifo`] — one job over all `C` slots, the paper's model (and the default),
+//! * [`ClassPriority`] / [`ClassPriorityPreempt`] — one job over all `C` slots
+//!   with highest-class-first backfill, without or with eviction of a
+//!   lower-class job: the paper's policies (NP/DA/DiAS and P),
 //! * [`GangBinPack`] — disjoint gangs bin-packed by stage width,
 //! * [`PriorityPreempt`] — gang placement plus eviction of lower-class jobs when
 //!   a higher-class arrival needs their slots.
@@ -115,7 +118,8 @@ pub use energy::{EnergyMeter, JobEnergy};
 pub use faults::{FaultEvent, FaultKind, FaultTrace, SlotHealth};
 pub use job::{JobId, JobInstance, JobSpec, JobSpecBuilder, StageKind, StageSpec};
 pub use sched::{
-    Fifo, GangBinPack, PendingView, PriorityPreempt, RunningView, Scheduler, SlotRange,
+    ClassPriority, ClassPriorityPreempt, Fifo, GangBinPack, PendingView, PriorityPreempt,
+    RunningView, Scheduler, SlotRange,
 };
 pub use sim::{
     Checkpoint, ClusterSim, DispatchRecord, EngineError, EngineEvent, EvictedWork, JobRunMetrics,

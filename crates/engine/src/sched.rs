@@ -13,11 +13,15 @@
 //! 3. **preemption** — which running job, if any, to evict so a higher-class
 //!    arrival fits.
 //!
-//! Three policies ship with the engine:
+//! Five policies ship with the engine:
 //!
 //! * [`Fifo`] — one job at a time over the full cluster, exactly the paper's
 //!   model and the pre-multi-job engine's behaviour (pinned bit-for-bit by
 //!   `crates/engine/tests/golden_trace.rs`);
+//! * [`ClassPriority`] and [`ClassPriorityPreempt`] — one job at a time over
+//!   the full cluster with class-ordered backfill: the paper's per-priority
+//!   buffers and dispatcher (§3, Fig. 3), non-preemptive (NP, DA, DiAS) and
+//!   preemptive (P);
 //! * [`GangBinPack`] — jobs get disjoint slot subsets sized by their widest
 //!   stage, best-fit bin-packed into the free gaps, with FCFS backfill;
 //! * [`PriorityPreempt`] — gang placement plus class-ordered backfill and
@@ -215,6 +219,102 @@ impl Scheduler for Fifo {
     }
 }
 
+/// Index of the pending job to dispatch next under class priority: the
+/// highest waiting class, FCFS within a class (the first queue position of
+/// that class — evicted jobs re-queue at the head, so they resume ahead of
+/// their class).
+fn highest_class_first(pending: &[PendingView]) -> Option<usize> {
+    let top = pending.iter().map(|p| p.class).max()?;
+    pending.iter().position(|p| p.class == top)
+}
+
+/// One job at a time over the full cluster, highest class first — the
+/// paper's per-priority buffers and non-preemptive dispatcher (§3, Fig. 3),
+/// the discipline of NP, DA and DiAS.
+///
+/// A job is placed only on an idle cluster and receives every slot;
+/// backfill dispatches the highest waiting class, FCFS within a class. No
+/// preemption.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ClassPriority;
+
+impl Scheduler for ClassPriority {
+    fn label(&self) -> &'static str {
+        "ClassPriority"
+    }
+
+    fn place(
+        &mut self,
+        _class: usize,
+        _width: usize,
+        total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<SlotRange> {
+        running.is_empty().then(|| SlotRange::new(0, total_slots))
+    }
+
+    fn pick_next(
+        &mut self,
+        pending: &[PendingView],
+        total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<(usize, SlotRange)> {
+        if !running.is_empty() {
+            return None;
+        }
+        highest_class_first(pending).map(|i| (i, SlotRange::new(0, total_slots)))
+    }
+}
+
+/// [`ClassPriority`] plus eviction: the paper's preemptive baseline `P`.
+///
+/// An arrival of a strictly higher class than the running job evicts it; the
+/// victim re-queues at the head of the pending queue and re-executes from
+/// scratch, ahead of the rest of its class. A victim is named only when
+/// every running view is of a strictly lower class, so an arrival that could
+/// not take the cluster anyway (a slot blocked by a fault) destroys nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ClassPriorityPreempt;
+
+impl Scheduler for ClassPriorityPreempt {
+    fn label(&self) -> &'static str {
+        "ClassPriorityPreempt"
+    }
+
+    fn place(
+        &mut self,
+        class: usize,
+        width: usize,
+        total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<SlotRange> {
+        ClassPriority.place(class, width, total_slots, running)
+    }
+
+    fn pick_next(
+        &mut self,
+        pending: &[PendingView],
+        total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<(usize, SlotRange)> {
+        ClassPriority.pick_next(pending, total_slots, running)
+    }
+
+    fn victim(
+        &mut self,
+        class: usize,
+        _width: usize,
+        _total_slots: usize,
+        running: &[RunningView],
+    ) -> Option<JobId> {
+        if running.iter().all(|r| r.class < class) {
+            running.first().map(|r| r.job)
+        } else {
+            None
+        }
+    }
+}
+
 /// Gang scheduling with best-fit bin-packing by stage width.
 ///
 /// An arriving job asks for `min(widest stage, C)` slots and is placed into
@@ -367,6 +467,64 @@ mod tests {
         let running = [view(1, 0, 0, 20, 0.0)];
         assert_eq!(f.place(1, 3, 20, &running), None);
         assert_eq!(f.victim(1, 3, 20, &running), None);
+    }
+
+    fn pending(job: u64, class: usize) -> PendingView {
+        PendingView {
+            job: JobId(job),
+            class,
+            width: 4,
+        }
+    }
+
+    #[test]
+    fn class_priority_places_whole_cluster_only_when_idle() {
+        let mut p = ClassPriority;
+        assert_eq!(p.place(0, 3, 20, &[]), Some(SlotRange::new(0, 20)));
+        let running = [view(1, 0, 0, 20, 0.0)];
+        assert_eq!(p.place(1, 3, 20, &running), None);
+        assert_eq!(p.pick_next(&[pending(2, 1)], 20, &running), None);
+        assert_eq!(p.victim(1, 3, 20, &running), None);
+    }
+
+    #[test]
+    fn class_priority_backfills_highest_class_first() {
+        let mut p = ClassPriority;
+        let queue = [pending(1, 0), pending(2, 2), pending(3, 1), pending(4, 2)];
+        assert_eq!(
+            p.pick_next(&queue, 20, &[]),
+            Some((1, SlotRange::new(0, 20)))
+        );
+        assert_eq!(p.pick_next(&[], 20, &[]), None);
+    }
+
+    #[test]
+    fn class_priority_is_fcfs_within_a_class() {
+        let mut p = ClassPriorityPreempt;
+        // Queue position is arrival order, except that an evicted job sits
+        // at the head: it resumes ahead of its class.
+        let queue = [pending(7, 0), pending(3, 0), pending(5, 0)];
+        assert_eq!(
+            p.pick_next(&queue, 20, &[]),
+            Some((0, SlotRange::new(0, 20)))
+        );
+    }
+
+    #[test]
+    fn class_priority_preempt_evicts_only_strictly_lower_classes() {
+        let mut p = ClassPriorityPreempt;
+        let low = [view(1, 0, 0, 20, 0.0)];
+        assert_eq!(p.victim(1, 3, 20, &low), Some(JobId(1)));
+        assert_eq!(p.victim(0, 3, 20, &low), None);
+        let high = [view(2, 2, 0, 20, 0.0)];
+        assert_eq!(p.victim(1, 3, 20, &high), None);
+        // A slot blocked by a fault (class usize::MAX) keeps the cluster
+        // unplaceable after any eviction: nothing is destroyed.
+        let blocked = [
+            view(1, 0, 0, 19, 0.0),
+            view(u64::MAX, usize::MAX, 19, 1, 0.0),
+        ];
+        assert_eq!(p.victim(1, 3, 20, &blocked), None);
     }
 
     #[test]

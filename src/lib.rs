@@ -12,7 +12,7 @@
 //! * [`models`] — the paper's §4 task-/wave-level models and priority-queue analysis.
 //! * [`engine`] — the Spark-like cluster simulator substrate.
 //! * [`pool`] — the scoped worker-lane pool behind every parallel runner.
-//! * [`core`] — the DiAS controller: buffers, deflator, sprinter, policies.
+//! * [`core`] — the DiAS controller: policies, deflator, sprinter, driver loop.
 //! * [`workloads`] — text/graph analytics workloads and job-stream generators.
 //!
 //! # Quickstart
@@ -84,7 +84,6 @@
 //! )
 //! .jobs(2_000)
 //! .warmup(WarmupRule::Mser { calibration: 0 })
-//! .arrival_batch(4)
 //! .drops(&[0.2, 0.0])
 //! .run()
 //! .unwrap();
