@@ -34,8 +34,8 @@ use std::collections::HashMap;
 use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
 use dias_engine::{
-    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, FaultTrace, FreqLevel,
-    JobId, JobInstance, Scheduler, Submission,
+    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, EvictedWork, FaultTrace,
+    FreqLevel, JobId, JobInstance, Scheduler, Submission,
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
@@ -286,7 +286,6 @@ pub struct MultiJobExperiment<S> {
     /// Per-class drop ratio applied to droppable stages.
     thetas: Option<Vec<f64>>,
     sprint: Option<SprintPolicy>,
-    sprint_top_class: bool,
     sprint_draw_cap_w: Option<f64>,
     jobs: usize,
     warmup: Option<usize>,
@@ -356,7 +355,6 @@ impl<S: JobSource> MultiJobExperiment<S> {
             cluster: ClusterSpec::paper_reference(),
             thetas: None,
             sprint: None,
-            sprint_top_class: false,
             sprint_draw_cap_w: None,
             jobs: 1000,
             warmup: None,
@@ -414,8 +412,6 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// budget at [`ClusterSpec::sprint_extra_slot_power_w`] per slot of its
     /// gang. Budget depletion drops every sprinting domain back to base
     /// together (the paper's single-switch semantics).
-    ///
-    /// Overrides [`MultiJobExperiment::sprint_top_class`].
     #[must_use]
     pub fn sprint(mut self, policy: SprintPolicy) -> Self {
         self.sprint = Some(policy);
@@ -477,20 +473,8 @@ impl<S: JobSource> MultiJobExperiment<S> {
     /// partitions a fleet-wide cap into per-shard caps proportional to slot
     /// share.
     #[must_use]
-    pub fn sprint_draw_cap(mut self, cap_w: Option<f64>) -> Self {
+    pub(crate) fn sprint_draw_cap(mut self, cap_w: Option<f64>) -> Self {
         self.sprint_draw_cap_w = cap_w;
-        self
-    }
-
-    /// Convenience for the simplest differential rule: top-class jobs sprint
-    /// their own gangs from dispatch with no budget limit — shorthand for
-    /// [`MultiJobExperiment::sprint`] with
-    /// [`SprintPolicy::unlimited_for_top`]. Lower-class neighbours stay at
-    /// base frequency (per-gang domains; before PR 5 this knob sprinted the
-    /// whole cluster).
-    #[must_use]
-    pub fn sprint_top_class(mut self, on: bool) -> Self {
-        self.sprint_top_class = on;
         self
     }
 
@@ -922,20 +906,15 @@ impl<S: JobSource> MultiDriver<S> {
             // The degradation controller owns the drop vector from here on.
             exp.thetas = Some(d.base().to_vec());
         }
-        let sprint_policy = match exp.sprint.take() {
-            Some(p) => {
-                if p.timeouts.len() != classes {
-                    return Err(ExperimentError::ClassMismatch {
-                        policy: p.timeouts.len(),
-                        source: classes,
-                    });
-                }
-                Some(p)
+        if let Some(p) = &exp.sprint {
+            if p.timeouts.len() != classes {
+                return Err(ExperimentError::ClassMismatch {
+                    policy: p.timeouts.len(),
+                    source: classes,
+                });
             }
-            None if exp.sprint_top_class => Some(SprintPolicy::unlimited_for_top(classes)),
-            None => None,
-        };
-        let sprinter = sprint_policy.map(|p| {
+        }
+        let sprinter = exp.sprint.take().map(|p| {
             MultiSprinter::new(p, exp.cluster.sprint_extra_slot_power_w())
                 .with_draw_cap(exp.sprint_draw_cap_w)
         });
@@ -1269,29 +1248,7 @@ impl<S: JobSource> MultiDriver<S> {
             }
             self.fault_idx += 1;
             for (victim, lost) in self.engine.apply_fault(&e)? {
-                self.report.evictions += 1;
-                self.report.failure_evictions += 1;
-                self.report.wasted_work_secs += lost.work_secs;
-                self.report.failure_lost_work_secs += lost.work_secs;
-                self.report.attempt_wall_secs += lost.wall_secs;
-                self.report.sprint_secs += lost.sprint_secs;
-                if let Some(s) = self.sprinter.as_mut() {
-                    // A failed sprinting gang stops draining the
-                    // budget; its timer dies with the attempt.
-                    s.stop(next_t, victim);
-                }
-                if let Some(vm) = self.meta.get_mut(&victim) {
-                    vm.evictions += 1;
-                    vm.failure_evictions += 1;
-                }
-                let vclass = self.meta.get(&victim).map_or(0, |vm| vm.class);
-                harvest_energy(
-                    &mut self.engine,
-                    &self.meta,
-                    vclass,
-                    victim,
-                    &mut self.report,
-                );
+                self.account_eviction(victim, lost, next_t, true);
             }
         }
         // Degradation reacts to the *batch*, not each event: the
@@ -1351,30 +1308,50 @@ impl<S: JobSource> MultiDriver<S> {
             Submission::Dispatched { .. } => Vec::new(),
         };
         for (victim, lost) in evicted {
-            self.report.evictions += 1;
-            self.report.wasted_work_secs += lost.work_secs;
-            self.report.attempt_wall_secs += lost.wall_secs;
-            self.report.sprint_secs += lost.sprint_secs;
-            if let Some(s) = self.sprinter.as_mut() {
-                // A sprinting victim stops draining the budget; its
-                // timer dies with the attempt (stale-attempt check).
-                s.stop(next_t, victim);
-            }
-            if let Some(vm) = self.meta.get_mut(&victim) {
-                vm.evictions += 1;
-            }
-            // The evicted attempt's energy ledger retired with
-            // the eviction; attribute it now.
-            let vclass = self.meta.get(&victim).map_or(0, |vm| vm.class);
-            harvest_energy(
-                &mut self.engine,
-                &self.meta,
-                vclass,
-                victim,
-                &mut self.report,
-            );
+            self.account_eviction(victim, lost, next_t, false);
         }
         Ok(())
+    }
+
+    /// Books one evicted attempt at `next_t`: the work and wall time it lost,
+    /// its sprint stop and its retired energy ledger. `failure` marks a
+    /// slot-failure victim, which also counts toward the failure-only books.
+    fn account_eviction(
+        &mut self,
+        victim: JobId,
+        lost: EvictedWork,
+        next_t: SimTime,
+        failure: bool,
+    ) {
+        self.report.evictions += 1;
+        self.report.wasted_work_secs += lost.work_secs;
+        self.report.attempt_wall_secs += lost.wall_secs;
+        self.report.sprint_secs += lost.sprint_secs;
+        if failure {
+            self.report.failure_evictions += 1;
+            self.report.failure_lost_work_secs += lost.work_secs;
+        }
+        if let Some(s) = self.sprinter.as_mut() {
+            // A sprinting victim stops draining the budget; its timer dies
+            // with the attempt (stale-attempt check).
+            s.stop(next_t, victim);
+        }
+        if let Some(vm) = self.meta.get_mut(&victim) {
+            vm.evictions += 1;
+            if failure {
+                vm.failure_evictions += 1;
+            }
+        }
+        // The evicted attempt's energy ledger retired with the eviction;
+        // attribute it now.
+        let vclass = self.meta.get(&victim).map_or(0, |vm| vm.class);
+        harvest_energy(
+            &mut self.engine,
+            &self.meta,
+            vclass,
+            victim,
+            &mut self.report,
+        );
     }
 
     /// Drains the engine's dispatch log: every placement (arrival, backfill,
@@ -1639,7 +1616,7 @@ mod tests {
             .run()
             .unwrap();
         let sprint = MultiJobExperiment::new(workload(100, 4.0, 10.0), Box::new(GangBinPack))
-            .sprint_top_class(true)
+            .sprint(SprintPolicy::unlimited_for_top(2))
             .jobs(60)
             .run()
             .unwrap();

@@ -10,8 +10,9 @@
 //! [`JobSource`] (e.g.
 //! `dias_workloads::heterogeneous_width_two_priority`) and records
 //! completions into [`StreamingSummary`] backends — exact count/mean/M2 plus
-//! a Greenwald–Khanna quantile sketch with rank error ≤ εn — so per-class
-//! state stays bounded however long the run.
+//! a Greenwald–Khanna quantile sketch with rank error ≤ εn at
+//! ε = [`DEFAULT_SKETCH_EPSILON`](dias_des::stats::DEFAULT_SKETCH_EPSILON) —
+//! so per-class state stays bounded however long the run.
 //!
 //! Two knobs shape a soak:
 //!
@@ -34,13 +35,12 @@
 
 use std::time::Instant;
 
-use dias_des::stats::{SampleStats, StreamingSummary, DEFAULT_SKETCH_EPSILON};
-use dias_engine::{ClusterSpec, FaultTrace, Scheduler};
+use dias_des::stats::{SampleStats, StreamingSummary};
+use dias_engine::{FaultTrace, Scheduler};
 
 use crate::multi::{CompletionObs, MultiDriver, NoHook};
 use crate::{
-    DegradationPolicy, ExperimentError, JobSource, MultiClassStats, MultiJobExperiment,
-    MultiJobReport, SprintPolicy,
+    ExperimentError, JobSource, MultiClassStats, MultiJobExperiment, MultiJobReport, SprintPolicy,
 };
 
 /// How a soak decides where measurement starts.
@@ -211,7 +211,6 @@ pub struct SoakExperiment<S> {
     jobs: usize,
     warmup: WarmupRule,
     window_jobs: usize,
-    epsilon: f64,
 }
 
 impl<S: JobSource> SoakExperiment<S> {
@@ -225,7 +224,6 @@ impl<S: JobSource> SoakExperiment<S> {
             jobs: 100_000,
             warmup: WarmupRule::Mser { calibration: 0 },
             window_jobs: 0,
-            epsilon: DEFAULT_SKETCH_EPSILON,
         }
     }
 
@@ -251,26 +249,6 @@ impl<S: JobSource> SoakExperiment<S> {
         self
     }
 
-    /// Sets the quantile sketches' rank-error bound ε.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < eps < 0.5`.
-    #[must_use]
-    pub fn epsilon(mut self, eps: f64) -> Self {
-        assert!(eps > 0.0 && eps < 0.5, "sketch epsilon must be in (0, 0.5)");
-        self.epsilon = eps;
-        self
-    }
-
-    /// Overrides the cluster specification
-    /// (see [`MultiJobExperiment::cluster`]).
-    #[must_use]
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.inner = self.inner.cluster(spec);
-        self
-    }
-
     /// Sets per-class drop ratios (see [`MultiJobExperiment::drops`]).
     ///
     /// # Panics
@@ -287,14 +265,6 @@ impl<S: JobSource> SoakExperiment<S> {
     #[must_use]
     pub fn sprint(mut self, policy: SprintPolicy) -> Self {
         self.inner = self.inner.sprint(policy);
-        self
-    }
-
-    /// Unlimited-budget top-class sprinting
-    /// (see [`MultiJobExperiment::sprint_top_class`]).
-    #[must_use]
-    pub fn sprint_top_class(mut self, on: bool) -> Self {
-        self.inner = self.inner.sprint_top_class(on);
         self
     }
 
@@ -315,14 +285,6 @@ impl<S: JobSource> SoakExperiment<S> {
     #[must_use]
     pub fn slos(mut self, targets: &[f64]) -> Self {
         self.inner = self.inner.slos(targets);
-        self
-    }
-
-    /// Installs a graceful-degradation controller
-    /// (see [`MultiJobExperiment::degrade`]).
-    #[must_use]
-    pub fn degrade(mut self, policy: DegradationPolicy) -> Self {
-        self.inner = self.inner.degrade(policy);
         self
     }
 
@@ -375,7 +337,7 @@ impl<S: JobSource> SoakExperiment<S> {
             .saturating_mul(64)
             .saturating_add(1024);
 
-        let mut books = SoakBooks::new(classes, self.epsilon, slos, window_jobs, calibration);
+        let mut books = SoakBooks::new(classes, slos, window_jobs, calibration);
         let wall_start = Instant::now();
         let mut live_high_water = 0usize;
         while books.measured < jobs {
@@ -427,7 +389,6 @@ impl<S: JobSource> SoakExperiment<S> {
 /// statistics, and the currently open window.
 struct SoakBooks {
     slos: Option<Vec<f64>>,
-    epsilon: f64,
     window_jobs: usize,
     /// `Some(buffer)` while MSER calibration is still collecting; `None`
     /// under [`WarmupRule::Arrivals`] or once the truncation resolved.
@@ -444,20 +405,13 @@ struct SoakBooks {
 }
 
 impl SoakBooks {
-    fn new(
-        classes: usize,
-        epsilon: f64,
-        slos: Option<Vec<f64>>,
-        window_jobs: usize,
-        calibration: usize,
-    ) -> Self {
+    fn new(classes: usize, slos: Option<Vec<f64>>, window_jobs: usize, calibration: usize) -> Self {
         SoakBooks {
             slos,
-            epsilon,
             window_jobs,
             calibrating: (calibration > 0).then(|| (calibration, Vec::with_capacity(calibration))),
-            lifetime: streaming_classes(classes, epsilon),
-            window: streaming_classes(classes, epsilon),
+            lifetime: vec![MultiClassStats::default(); classes],
+            window: vec![MultiClassStats::default(); classes],
             windows: Vec::new(),
             window_count: 0,
             window_start_secs: 0.0,
@@ -557,8 +511,7 @@ impl SoakBooks {
         });
         self.energy_mark = energy_now;
         self.window_count -= take;
-        let classes = self.window.len();
-        self.window = streaming_classes(classes, self.epsilon);
+        self.window = vec![MultiClassStats::default(); self.window.len()];
         self.window_start_secs = self.window_end_secs;
     }
 
@@ -570,21 +523,6 @@ impl SoakBooks {
             + self.calibrating.as_ref().map_or(0, |(_, b)| b.len())
             + self.windows.len() * (1 + self.window.len())
     }
-}
-
-/// Fresh per-class streaming accumulators at rank-error bound `eps`.
-fn streaming_classes(classes: usize, eps: f64) -> Vec<MultiClassStats<StreamingSummary>> {
-    (0..classes)
-        .map(|_| MultiClassStats {
-            response: StreamingSummary::with_epsilon(eps),
-            queueing: StreamingSummary::with_epsilon(eps),
-            dispatch_wait: StreamingSummary::with_epsilon(eps),
-            reexec_loss: StreamingSummary::with_epsilon(eps),
-            execution: StreamingSummary::with_epsilon(eps),
-            drop_fraction: StreamingSummary::with_epsilon(eps),
-            ..Default::default()
-        })
-        .collect()
 }
 
 /// Total live sketch nodes across a per-class accumulator set.

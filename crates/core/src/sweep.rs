@@ -10,10 +10,12 @@
 //!   dependencies), with results collected **in input order**. Each item's
 //!   computation depends only on the item and its index, never on which
 //!   thread ran it or when, so results are bitwise-deterministic regardless
-//!   of the thread count.
-//! * [`ExperimentSpec`] + [`run_experiments`] — the concrete sweep over
-//!   [`Experiment`] configurations used by the fig7/fig8/fig9/fig11 bench
-//!   harnesses.
+//!   of the thread count. A sweep of [`Experiment`](crate::Experiment)s or
+//!   [`MultiJobExperiment`]s maps `|_, e| e.run()` over them: both builders
+//!   are lazy and `Send` when their source is.
+//! * [`run_differential`] — a `points × replicas` grid of cells for paired
+//!   (common-random-numbers) contrasts, and [`run_multi_experiments_branch`],
+//!   its checkpoint-and-branch mode for theta-only sweeps.
 //! * [`replica_seeds`] — deterministic per-replication master seeds derived
 //!   with [`SeedSequence::child`], so replicated experiments stay reproducible
 //!   under any parallelism.
@@ -32,14 +34,10 @@
 //! ```
 
 use dias_des::SeedSequence;
-use dias_engine::ClusterSpec;
 use dias_models::mc::{McQueue, McResult};
 use dias_models::ModelError;
 
-use crate::{
-    Experiment, ExperimentError, ExperimentReport, JobSource, MultiJobExperiment, MultiJobReport,
-    Policy,
-};
+use crate::{ExperimentError, JobSource, MultiJobExperiment, MultiJobReport};
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism (1 when it cannot be determined).
@@ -155,94 +153,6 @@ pub fn run_mc_replicated(
     Ok(merged)
 }
 
-/// One point of an experiment sweep: a job source (already seeded), a policy,
-/// and the measurement window, mirroring the [`Experiment`] builder.
-#[derive(Debug)]
-pub struct ExperimentSpec<S> {
-    source: S,
-    policy: Policy,
-    jobs: usize,
-    warmup: Option<usize>,
-    cluster: Option<ClusterSpec>,
-}
-
-impl<S: JobSource> ExperimentSpec<S> {
-    /// Creates a spec measuring 1000 jobs on the paper's reference cluster.
-    #[must_use]
-    pub fn new(source: S, policy: Policy) -> Self {
-        ExperimentSpec {
-            source,
-            policy,
-            jobs: 1000,
-            warmup: None,
-            cluster: None,
-        }
-    }
-
-    /// Sets the number of measured jobs (warm-up defaults to 10% of it).
-    #[must_use]
-    pub fn jobs(mut self, n: usize) -> Self {
-        self.jobs = n;
-        self
-    }
-
-    /// Overrides the warm-up window (in arrivals).
-    #[must_use]
-    pub fn warmup(mut self, n: usize) -> Self {
-        self.warmup = Some(n);
-        self
-    }
-
-    /// Overrides the cluster specification.
-    #[must_use]
-    pub fn cluster(mut self, spec: ClusterSpec) -> Self {
-        self.cluster = Some(spec);
-        self
-    }
-
-    /// Runs this spec's experiment to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ExperimentError`] from [`Experiment::run`].
-    pub fn run(self) -> Result<ExperimentReport, ExperimentError> {
-        let mut experiment = Experiment::new(self.source, self.policy).jobs(self.jobs);
-        if let Some(w) = self.warmup {
-            experiment = experiment.warmup(w);
-        }
-        if let Some(c) = self.cluster {
-            experiment = experiment.cluster(c);
-        }
-        experiment.run()
-    }
-}
-
-/// Runs every spec to completion across up to `threads` cores, reports in
-/// input order. Results are identical to running the specs sequentially.
-pub fn run_experiments<S>(
-    specs: Vec<ExperimentSpec<S>>,
-    threads: usize,
-) -> Vec<Result<ExperimentReport, ExperimentError>>
-where
-    S: JobSource + Send,
-{
-    run_parallel(specs, threads, |_, spec| spec.run())
-}
-
-/// Runs every configured [`MultiJobExperiment`] — one per scheduler policy,
-/// drop setting, or load point of a concurrent-workload sweep — across up to
-/// `threads` cores, reports in input order. Each experiment owns its job
-/// source and engine, so results are identical to running them sequentially.
-pub fn run_multi_experiments<S>(
-    experiments: Vec<MultiJobExperiment<S>>,
-    threads: usize,
-) -> Vec<Result<MultiJobReport, ExperimentError>>
-where
-    S: JobSource + Send,
-{
-    run_parallel(experiments, threads, |_, e| e.run())
-}
-
 /// A paired or independent contrast between two sweep points: the mean metric
 /// delta and its 95% confidence half-width over the replicas.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -257,11 +167,11 @@ pub struct Contrast {
 
 /// The replica grid of a differential sweep: `reports[point][replica]`.
 ///
-/// Produced by [`run_experiments_differential`] /
-/// [`run_multi_experiments_differential`]. When every point's replica `r`
-/// consumed the *same* draw stream (common random numbers — e.g. replays of
-/// one recorded trace, or same-seeded streams whose draws are
-/// policy-independent), [`DifferentialReport::paired_contrast`] cancels the
+/// Produced by [`run_differential`] and [`run_multi_experiments_branch`].
+/// When every point's replica `r` consumed the *same* draw stream (common
+/// random numbers — e.g. replays of one recorded trace, or same-seeded
+/// streams whose draws are policy-independent),
+/// [`DifferentialReport::paired_contrast`] cancels the
 /// shared sampling noise and its half-widths shrink well below the
 /// independent-seed half-widths of
 /// [`DifferentialReport::independent_contrast`].
@@ -359,59 +269,43 @@ fn mean_and_variance(xs: &[f64]) -> (f64, f64) {
     (mean, var)
 }
 
-/// Differential mode of [`run_experiments`]: evaluates a `points × replicas`
-/// grid where `make(point, replica)` builds the spec for one cell, fanning
-/// cells across up to `threads` cores.
+/// Evaluates a `points × replicas` grid, where `cell(point, replica)` runs
+/// one cell, fanning the cells across up to `threads` cores. A cell is
+/// typically `Experiment::new(..).run()` or `MultiJobExperiment::new(..).run()`.
 ///
 /// Common random numbers are the *caller's* contract: for a fixed `replica`,
-/// every point's source must produce the identical draw stream — replays of
+/// every point's cell must consume the identical draw stream — replays of
 /// one recorded [`dias_stochastic::DrawTrace`]-backed stream, or same-seeded
 /// streams whose draw sequence does not depend on the point. Under that
 /// contract, [`DifferentialReport::paired_contrast`] gives much tighter
 /// confidence intervals than independent seeding at the same replica budget.
 ///
+/// Every cell runs, whatever the others return, so the result is the same at
+/// any `threads`.
+///
 /// # Errors
 ///
-/// Propagates the first [`ExperimentError`] any cell reports (in grid order).
-pub fn run_experiments_differential<S, F>(
+/// Returns the first [`ExperimentError`] in grid order (point-major, then
+/// replica), not the first to finish.
+pub fn run_differential<R, F>(
     points: usize,
     replicas: usize,
     threads: usize,
-    make: F,
-) -> Result<DifferentialReport<ExperimentReport>, ExperimentError>
+    cell: F,
+) -> Result<DifferentialReport<R>, ExperimentError>
 where
-    S: JobSource + Send,
-    F: Fn(usize, usize) -> ExperimentSpec<S> + Sync,
+    R: Send,
+    F: Fn(usize, usize) -> Result<R, ExperimentError> + Sync,
 {
     let grid: Vec<(usize, usize)> = (0..points)
         .flat_map(|p| (0..replicas).map(move |r| (p, r)))
         .collect();
-    let cells = run_parallel(grid, threads, |_, (p, r)| make(p, r).run());
-    collect_grid(cells, points, replicas)
-}
-
-/// Differential mode of [`run_multi_experiments`]: the concurrent-workload
-/// counterpart of [`run_experiments_differential`], with the same
-/// common-random-numbers contract on `make`.
-///
-/// # Errors
-///
-/// Propagates the first [`ExperimentError`] any cell reports (in grid order).
-pub fn run_multi_experiments_differential<S, F>(
-    points: usize,
-    replicas: usize,
-    threads: usize,
-    make: F,
-) -> Result<DifferentialReport<MultiJobReport>, ExperimentError>
-where
-    S: JobSource + Send,
-    F: Fn(usize, usize) -> MultiJobExperiment<S> + Sync,
-{
-    let grid: Vec<(usize, usize)> = (0..points)
-        .flat_map(|p| (0..replicas).map(move |r| (p, r)))
-        .collect();
-    let cells = run_parallel(grid, threads, |_, (p, r)| make(p, r).run());
-    collect_grid(cells, points, replicas)
+    let cells = run_parallel(grid, threads, |_, (p, r)| cell(p, r));
+    let mut rows: Vec<Vec<R>> = (0..points).map(|_| Vec::with_capacity(replicas)).collect();
+    for (i, cell) in cells.into_iter().enumerate() {
+        rows[i / replicas].push(cell?);
+    }
+    Ok(DifferentialReport { reports: rows })
 }
 
 /// Work-avoidance accounting of one [`run_multi_experiments_branch`] sweep:
@@ -447,7 +341,7 @@ impl BranchStats {
     }
 }
 
-/// Checkpoint-and-branch mode of [`run_multi_experiments_differential`] for
+/// Checkpoint-and-branch mode of [`run_differential`] for
 /// **theta-only** sweeps: point 0 runs in full once per replica, recording a
 /// [`MultiRunTrace`](crate::MultiRunTrace) (a resume checkpoint every `stride` arrivals plus
 /// per-arrival drop signatures); every other point restores the latest
@@ -458,9 +352,9 @@ impl BranchStats {
 /// `make(replica)` builds the replica's **base** experiment *without* a drop
 /// vector; the runner applies `point_thetas[p]` itself, so the
 /// identical-except-thetas contract that makes prefix sharing sound holds by
-/// construction. The reports are bit-identical to
-/// [`run_multi_experiments_differential`] over the same grid (the branch
-/// property suite asserts `==` on the grids).
+/// construction. The reports are bit-identical to [`run_differential`] of
+/// full runs over the same grid (the branch property suite asserts `==` on
+/// the grids).
 ///
 /// Configurations that are not [`MultiJobExperiment::branchable`]
 /// (degradation or SLO scoring) conservatively fall back to full replay for
@@ -492,8 +386,8 @@ where
     assert!(stride > 0, "checkpoint stride must be positive");
     let points = point_thetas.len();
     if !make(0).drops(&point_thetas[0]).branchable() {
-        let report = run_multi_experiments_differential(points, replicas, threads, |p, r| {
-            make(r).drops(&point_thetas[p])
+        let report = run_differential(points, replicas, threads, |p, r| {
+            make(r).drops(&point_thetas[p]).run()
         })?;
         return Ok((report, BranchStats::default()));
     }
@@ -540,23 +434,10 @@ where
     Ok((DifferentialReport { reports: rows }, stats))
 }
 
-/// Reassembles a flat `points × replicas` cell vector (grid order) into rows,
-/// propagating the first error.
-fn collect_grid<R>(
-    cells: Vec<Result<R, ExperimentError>>,
-    points: usize,
-    replicas: usize,
-) -> Result<DifferentialReport<R>, ExperimentError> {
-    let mut rows: Vec<Vec<R>> = (0..points).map(|_| Vec::with_capacity(replicas)).collect();
-    for (i, cell) in cells.into_iter().enumerate() {
-        rows[i / replicas].push(cell?);
-    }
-    Ok(DifferentialReport { reports: rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Experiment, Policy};
 
     #[test]
     fn ordered_results_at_any_thread_count() {
@@ -631,10 +512,11 @@ mod tests {
     fn differential_grid_shape_and_zero_self_contrast() {
         // Two points with the *same* policy and CRN sources: every cell of a
         // replica is the identical run, so the paired contrast is exactly 0.
-        let report = run_experiments_differential(2, 3, 2, |_, r| {
-            ExperimentSpec::new(noisy_workload(100 + r as u64), Policy::preemptive(2))
+        let report = run_differential(2, 3, 2, |_, r| {
+            Experiment::new(noisy_workload(100 + r as u64), Policy::preemptive(2))
                 .jobs(30)
                 .warmup(4)
+                .run()
         })
         .expect("runs complete");
         assert_eq!(report.points(), 2);
@@ -653,10 +535,11 @@ mod tests {
             Policy::preemptive(2),
             Policy::differential_approximation(&[0.5, 0.0]),
         ];
-        let report = run_experiments_differential(2, 6, 2, |p, r| {
-            ExperimentSpec::new(noisy_workload(7 * r as u64 + 1), policies[p].clone())
+        let report = run_differential(2, 6, 2, |p, r| {
+            Experiment::new(noisy_workload(7 * r as u64 + 1), policies[p].clone())
                 .jobs(30)
                 .warmup(4)
+                .run()
         })
         .expect("runs complete");
         let paired = report.paired_contrast(0, 1, |r| r.mean_response(0));
@@ -674,15 +557,16 @@ mod tests {
     #[test]
     fn differential_grid_is_thread_count_invariant() {
         let run = |threads| {
-            run_experiments_differential(2, 2, threads, |p, r| {
+            run_differential(2, 2, threads, |p, r| {
                 let policy = if p == 0 {
                     Policy::preemptive(2)
                 } else {
                     Policy::non_preemptive(2)
                 };
-                ExperimentSpec::new(noisy_workload(r as u64), policy)
+                Experiment::new(noisy_workload(r as u64), policy)
                     .jobs(20)
                     .warmup(2)
+                    .run()
             })
             .expect("runs complete")
         };
@@ -696,6 +580,33 @@ mod tests {
                     "point {p} replica {r}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn run_differential_returns_the_first_error_in_grid_order() {
+        // Cells (1,0) and (1,1) fail with distinguishable errors; whichever
+        // lane finishes first, the (1,0) error is the one reported.
+        for threads in [1, 2, 4] {
+            let err = run_differential(3, 2, threads, |p, r| {
+                if p == 1 {
+                    Err(ExperimentError::ClassMismatch {
+                        policy: p,
+                        source: r,
+                    })
+                } else {
+                    Ok(p * 10 + r)
+                }
+            })
+            .expect_err("two cells fail");
+            assert_eq!(
+                err,
+                ExperimentError::ClassMismatch {
+                    policy: 1,
+                    source: 0
+                },
+                "threads = {threads}"
+            );
         }
     }
 

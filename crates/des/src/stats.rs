@@ -937,85 +937,6 @@ impl TimeWeighted {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `bins == 0`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total number of observations, including under/overflow.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bin counts (excluding under/overflow).
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Fraction of observations at or above `x` (empirical complementary CDF).
-    #[must_use]
-    pub fn ccdf(&self, x: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut above = self.overflow;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let bin_lo = self.lo + i as f64 * width;
-            if bin_lo >= x {
-                above += c;
-            }
-        }
-        if x <= self.lo {
-            above += self.underflow;
-        }
-        above as f64 / self.count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1317,19 +1238,5 @@ mod tests {
     fn time_weighted_rejects_backwards_time() {
         let mut tw = TimeWeighted::new(SimTime::from_secs(5.0), 0.0);
         tw.set(SimTime::from_secs(4.0), 1.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_ccdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.bins().iter().sum::<u64>(), 10);
-        // 5 in-range samples >= 5.0, plus overflow = 6 of 12.
-        assert!((h.ccdf(5.0) - 0.5).abs() < 1e-12);
     }
 }

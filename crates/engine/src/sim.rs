@@ -452,13 +452,6 @@ impl ClusterSim {
         self.runs.iter().find(|r| r.work.job == job).map(|r| r.freq)
     }
 
-    /// Id of the earliest-dispatched running job, if any (under [`Fifo`]:
-    /// *the* running job).
-    #[must_use]
-    pub fn running_job(&self) -> Option<JobId> {
-        self.runs.first().map(|r| r.work.job)
-    }
-
     /// Ids of all running jobs, in dispatch order.
     #[must_use]
     pub fn running_jobs(&self) -> Vec<JobId> {
