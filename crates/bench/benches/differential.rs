@@ -136,7 +136,7 @@ fn branch_section(threads: usize) {
         "sweep/differential (branch)",
         "checkpoint-and-branch suffix replay vs full replay",
     );
-    let jobs = scaled(600);
+    let jobs = scaled(BRANCH_FULL_JOBS);
     let replicas = 2;
     let warmup = jobs / 10;
     let target = jobs + warmup;
@@ -213,12 +213,27 @@ fn branch_section(threads: usize) {
         stats.arrivals_skipped,
         stats.arrivals_total
     );
-    compare(
-        "branch sweep wall-clock speedup (target >= 2x)",
-        ">= 2x",
-        &format!("{:.1}x", full_secs / branch_secs.max(1e-9)),
-    );
+    let speedup = format!("{:.1}x", full_secs / branch_secs.max(1e-9));
+    if jobs >= BRANCH_FULL_JOBS {
+        compare(
+            "branch sweep wall-clock speedup (target >= 2x)",
+            ">= 2x",
+            &speedup,
+        );
+    } else {
+        // A smoke-size grid is too short for the recording and checkpoint
+        // overhead to amortize; the target is stated for the full size.
+        compare(
+            &format!("branch sweep wall-clock speedup ({jobs} jobs)"),
+            "-",
+            &speedup,
+        );
+    }
 }
+
+/// Measured jobs of the branch section at full size, where its >= 2x
+/// wall-clock target applies.
+const BRANCH_FULL_JOBS: usize = 600;
 
 fn report(metric: &str, grid: &DifferentialReport<ExperimentReport>, paired: f64, indep: f64) {
     println!("metric: {metric} over {} replicas", grid.replicas());

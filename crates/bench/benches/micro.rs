@@ -498,6 +498,16 @@ fn bench_wave_fit(c: &mut Criterion) {
     group.finish();
 }
 
+/// One arrival of the paper's reference workload: the Poisson mark plus every
+/// lognormal draw of the sampled job (setup, shuffle and each task).
+fn bench_workloads(c: &mut Criterion) {
+    use dias_core::JobSource;
+    let mut stream = dias_workloads::reference_two_priority(0.8, 1);
+    c.bench_function("workloads/next_job_reference", |b| {
+        b.iter(|| black_box(stream.next_job()));
+    });
+}
+
 fn bench_engine(c: &mut Criterion) {
     use dias_workloads::dataset_147;
     let profile = dataset_147();
@@ -714,6 +724,7 @@ criterion_group!(
     bench_wave_fit,
     bench_sweep,
     bench_branch_sweep,
+    bench_workloads,
     bench_engine,
     bench_multi_job,
     bench_federation

@@ -31,10 +31,10 @@ pub trait JobSource {
 /// cloning is O(1) however long the stream — checkpoint-and-branch
 /// re-execution snapshots the source at every checkpoint, and a deep copy of
 /// every undelivered instance would make recording quadratic in the run
-/// length.
+/// length. The shared buffer is the caller's `Vec` itself, never a copy.
 #[derive(Debug, Clone)]
 pub struct VecJobSource {
-    jobs: std::sync::Arc<[JobInstance]>,
+    jobs: std::sync::Arc<Vec<JobInstance>>,
     next: usize,
     classes: usize,
 }
@@ -57,7 +57,7 @@ impl VecJobSource {
             last = j.arrival_secs;
         }
         VecJobSource {
-            jobs: jobs.into(),
+            jobs: std::sync::Arc::new(jobs),
             next: 0,
             classes,
         }

@@ -24,12 +24,14 @@
 //! a shared replenishing budget, the paper's §3.3 knobs) drives a
 //! [`MultiSprinter`] whose start/stop events flip individual jobs' frequency
 //! domains ([`ClusterSim::set_job_frequency`]) instead of the whole cluster.
-//! Queueing is measured from the engine's dispatch log
-//! ([`ClusterSim::take_dispatched`]) and decomposed into plain waiting
-//! (arrival → first dispatch) and preemption re-execution loss (first → final
+//! Queueing is measured from the engine's dispatch log, drained after every
+//! step ([`ClusterSim::take_dispatched`] is a draining iterator over a buffer
+//! that keeps its capacity), and decomposed into plain waiting (arrival →
+//! first dispatch) and preemption re-execution loss (first → final
 //! dispatch).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
@@ -293,6 +295,32 @@ pub struct MultiJobExperiment<S> {
     slos: Option<Vec<f64>>,
     degrade: Option<DegradationPolicy>,
 }
+
+/// Hashes a [`JobId`] with one multiplication by a 64-bit odd constant
+/// (2⁶⁴/φ): ids are the program's own sequence numbers, so the default
+/// hasher's protection against crafted keys buys nothing, and no result
+/// depends on a map's iteration order.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct JobIdHasher(u64);
+
+impl Hasher for JobIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by [`JobId`] under [`JobIdHasher`].
+pub(crate) type JobIdMap<V> = HashMap<JobId, V, BuildHasherDefault<JobIdHasher>>;
 
 /// Driver-side record of one submitted job.
 #[derive(Debug, Clone)]
@@ -672,7 +700,7 @@ struct MultiCheckpoint<S> {
     source: S,
     /// The already-drawn instance about to be submitted.
     next_arrival: Option<JobInstance>,
-    meta: HashMap<JobId, JobMeta>,
+    meta: JobIdMap<JobMeta>,
     timers: Vec<SprintTimer>,
     sprinter: Option<MultiSprinter>,
     /// The fault-trace cursor (cf. [`FaultTrace::index_at`]).
@@ -860,7 +888,7 @@ pub(crate) struct MultiDriver<S> {
     pub(crate) source: S,
     pub(crate) engine: ClusterSim,
     pub(crate) report: MultiJobReport,
-    meta: HashMap<JobId, JobMeta>,
+    meta: JobIdMap<JobMeta>,
     timers: Vec<SprintTimer>,
     sprinter: Option<MultiSprinter>,
     fault_idx: usize,
@@ -945,7 +973,7 @@ impl<S: JobSource> MultiDriver<S> {
             source: exp.source,
             engine,
             report,
-            meta: HashMap::new(),
+            meta: JobIdMap::default(),
             timers: Vec::new(),
             sprinter: None,
             fault_idx: 0,
@@ -1021,7 +1049,7 @@ impl<S: JobSource> MultiDriver<S> {
     /// of the loop (closed [`MultiDriver::drive`], the soak's open loop, the
     /// federation's epoch-bounded shard advance) inherits the same order by
     /// construction.
-    pub(crate) fn next_arm(&mut self) -> Option<(SimTime, LoopArm)> {
+    pub(crate) fn next_arm(&self) -> Option<(SimTime, LoopArm)> {
         let arrival_t = self
             .next_arrival
             .as_ref()
@@ -1031,19 +1059,10 @@ impl<S: JobSource> MultiDriver<S> {
             .sprinter
             .as_ref()
             .and_then(MultiSprinter::depletion_time);
-        // Purge timers whose attempt is dead (job finished, or evicted —
-        // a re-dispatch arms a fresh timer under a bumped attempt). A
-        // stale timer must not keep the clock running past the last real
-        // event, or a finite source's horizon (and idle energy) would
-        // grow a phantom tail.
-        {
-            let meta = &self.meta;
-            let engine = &self.engine;
-            self.timers.retain(|t| {
-                meta.get(&t.job).is_some_and(|m| m.attempt == t.attempt)
-                    && engine.job_frequency(t.job).is_some()
-            });
-        }
+        // Every armed timer belongs to a live attempt: timers die with their
+        // attempt (`purge_timers`), and `drain_dispatches` drops any armed
+        // for an attempt already gone, so none keeps the clock running past
+        // the last real event.
         let timer_t = self.timers.iter().map(|t| t.at).min();
         // Fault events only matter while work remains (arrivals ahead or
         // jobs running/pending): once the run is winding down, a tail of
@@ -1144,6 +1163,7 @@ impl<S: JobSource> MultiDriver<S> {
         };
         if let Some(s) = self.sprinter.as_mut() {
             s.stop(next_t, job);
+            self.purge_timers(job);
         }
         self.total_completions += 1;
         self.report.total_work_secs += metrics.work_secs;
@@ -1207,21 +1227,22 @@ impl<S: JobSource> MultiDriver<S> {
         }
     }
 
-    /// Per-attempt sprint timers: start each due job's domain if its attempt
-    /// still runs and the budget has joules left.
+    /// Drops `job`'s armed sprint timers when its attempt dies (completion
+    /// or eviction). A re-dispatch arms a fresh timer under a bumped
+    /// attempt; a stale one must not keep the clock running past the last
+    /// real event, or a finite source's horizon (and idle energy) would grow
+    /// a phantom tail.
+    fn purge_timers(&mut self, job: JobId) {
+        self.timers.retain(|t| t.job != job);
+    }
+
+    /// Per-attempt sprint timers: start each due job's domain, in arming
+    /// order, if its attempt still runs and the budget has joules left.
     fn handle_timers(&mut self, next_t: SimTime) {
         self.engine.idle_until(next_t);
         let s = self.sprinter.as_mut().expect("timers imply a sprinter");
-        let mut due = Vec::new();
-        self.timers.retain(|t| {
-            if t.at == next_t {
-                due.push(*t);
-                false
-            } else {
-                true
-            }
-        });
-        for t in due {
+        while let Some(i) = self.timers.iter().position(|t| t.at == next_t) {
+            let t = self.timers.remove(i);
             let Some(m) = self.meta.get(&t.job) else {
                 continue;
             };
@@ -1333,8 +1354,9 @@ impl<S: JobSource> MultiDriver<S> {
         }
         if let Some(s) = self.sprinter.as_mut() {
             // A sprinting victim stops draining the budget; its timer dies
-            // with the attempt (stale-attempt check).
+            // with the attempt.
             s.stop(next_t, victim);
+            self.purge_timers(victim);
         }
         if let Some(vm) = self.meta.get_mut(&victim) {
             vm.evictions += 1;
@@ -1357,6 +1379,7 @@ impl<S: JobSource> MultiDriver<S> {
     /// Drains the engine's dispatch log: every placement (arrival, backfill,
     /// eviction re-dispatch) stamps the attempt and arms its sprint timer.
     pub(crate) fn drain_dispatches(&mut self) {
+        let mut armed = false;
         for d in self.engine.take_dispatched() {
             let m = self
                 .meta
@@ -1376,8 +1399,19 @@ impl<S: JobSource> MultiDriver<S> {
                         job: d.job,
                         attempt: m.attempt,
                     });
+                    armed = true;
                 }
             }
+        }
+        if armed {
+            // An attempt can die in the step that dispatched it: a fault
+            // batch evicts a job that backfill had just re-placed. Its timer
+            // is dead on arrival, like every timer of a superseded attempt.
+            let (meta, engine) = (&self.meta, &self.engine);
+            self.timers.retain(|t| {
+                meta.get(&t.job).is_some_and(|m| m.attempt == t.attempt)
+                    && engine.job_frequency(t.job).is_some()
+            });
         }
     }
 
@@ -1456,7 +1490,7 @@ impl<S: JobSource> MultiDriver<S> {
 /// same sweep resolve their class through `meta`.
 fn harvest_energy(
     engine: &mut ClusterSim,
-    meta: &HashMap<JobId, JobMeta>,
+    meta: &JobIdMap<JobMeta>,
     expected_class: usize,
     expected_job: JobId,
     report: &mut MultiJobReport,
@@ -1714,6 +1748,56 @@ mod tests {
             }
             assert_eq!(zeroed.sprint_budget_spent_j, 0.0);
         }
+    }
+
+    #[test]
+    fn armed_sprint_timers_always_belong_to_live_attempts() {
+        use crate::{SprintBudget, SprintPolicy};
+        use dias_engine::{FaultEvent, FaultKind};
+        // One 4-wide high-class job. At t = 10 a batch fails slots 0 and 1:
+        // the first failure evicts the job and backfill re-places it on
+        // [1, 5); the second evicts that attempt too, so one drain sees two
+        // dispatches and arms a timer for an attempt already dead. Slots
+        // 6..20 fail at t = 15 beside the job's [2, 6); slot 2 fails at
+        // t = 20 and the attempt dies with no gap left to re-place it, so
+        // nothing is armed in that step. The repairs at t = 30 bring the
+        // last attempt, which completes before its 500 s timer fires.
+        let mut rng = StdRng::seed_from_u64(5);
+        let spec = JobSpec::builder(0, 1)
+            .setup(Dist::constant(1.0))
+            .stage(StageSpec::new(StageKind::Map, 4, Dist::constant(100.0)))
+            .build();
+        let jobs = vec![JobInstance::sample(&spec, &mut rng)];
+        let event = |at_secs, slot, kind| FaultEvent {
+            at_secs,
+            slot,
+            kind,
+        };
+        let mut faults = vec![
+            event(10.0, 0, FaultKind::Fail),
+            event(10.0, 1, FaultKind::Fail),
+        ];
+        faults.extend((6..20).map(|slot| event(15.0, slot, FaultKind::Fail)));
+        faults.push(event(20.0, 2, FaultKind::Fail));
+        faults.extend((0..20).map(|slot| event(30.0, slot, FaultKind::Repair)));
+        let exp = MultiJobExperiment::new(VecJobSource::new(jobs, 2), Box::new(GangBinPack))
+            .jobs(1)
+            .warmup(0)
+            .sprint(SprintPolicy::top_class(2, 500.0, SprintBudget::Unlimited))
+            .faults(FaultTrace::new(faults).unwrap());
+        let mut driver = MultiDriver::build(exp).unwrap();
+        let mut attempts = 0;
+        while let Some((t, arm)) = driver.next_arm() {
+            driver.step(t, arm, &mut NoHook).unwrap();
+            driver.drain_dispatches();
+            for timer in &driver.timers {
+                let m = &driver.meta[&timer.job];
+                assert_eq!(m.attempt, timer.attempt, "timer of a dead attempt");
+                assert!(driver.engine.job_frequency(timer.job).is_some());
+            }
+            attempts = driver.meta.get(&JobId(0)).map_or(attempts, |m| m.attempt);
+        }
+        assert_eq!(attempts, 4, "three attempts die before the last completes");
     }
 
     /// Cluster-wide jobs (20-task map stages): every high-class arrival must

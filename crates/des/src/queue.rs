@@ -13,6 +13,14 @@
 //! safe *hole* loops — the moving key is lifted out once and each displaced
 //! key is written down one level with a single copy — instead of a
 //! `Vec::swap` (three moves of a larger entry) per level.
+//!
+//! A pop leaves the root *vacant* instead of refilling it at once: a
+//! simulation that pops an event and then schedules its successor (a task
+//! finishing and its slot taking the next task) writes the new entry straight
+//! into the root and pays one sift-down for the pair, instead of a sift-down
+//! for the refill plus a sift-up for the push. Every other operation refills
+//! the root first, the way a pop used to. Pop order is fixed by the unique
+//! `(time, seq)` keys, so it does not depend on the heap's shape.
 
 use crate::SimTime;
 
@@ -106,6 +114,9 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
+    /// `heap[0]` is the entry of an already popped event: the next push
+    /// takes its place, anything else refills it from the tail first.
+    root_vacant: bool,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -123,6 +134,7 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
+            root_vacant: false,
         }
     }
 
@@ -134,6 +146,7 @@ impl<E> EventQueue<E> {
             slots: Vec::with_capacity(n),
             free: Vec::new(),
             next_seq: 0,
+            root_vacant: false,
         }
     }
 
@@ -185,9 +198,18 @@ impl<E> EventQueue<E> {
         self.slots[key as usize].payload = Some(payload);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let pos = self.heap.len();
-        self.heap.push(Entry { time, seq, key });
-        self.sift_up(pos);
+        let entry = Entry { time, seq, key };
+        if self.root_vacant {
+            // The pop→push pair of a slot handing over to its next task:
+            // one sift-down from the root instead of a refill plus a sift-up.
+            self.root_vacant = false;
+            self.heap[0] = entry;
+            self.sift_down(0);
+        } else {
+            let pos = self.heap.len();
+            self.heap.push(entry);
+            self.sift_up(pos);
+        }
         EventHandle::new(key, self.slots[key as usize].generation)
     }
 
@@ -197,6 +219,7 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending; `false` if it had
     /// already fired or been cancelled (stale handles are always rejected).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
+        self.refill_root();
         match self.resolve(handle) {
             Some(pos) => {
                 self.remove_at(pos);
@@ -236,6 +259,7 @@ impl<E> EventQueue<E> {
     /// assert!(!q.reschedule(slow, SimTime::from_secs(9.0)));
     /// ```
     pub fn reschedule(&mut self, handle: EventHandle, new_time: SimTime) -> bool {
+        self.refill_root();
         let Some(pos) = self.resolve(handle) else {
             return false;
         };
@@ -276,11 +300,12 @@ impl<E> EventQueue<E> {
     /// the event back to their own records.
     #[inline]
     pub fn pop_with_handle(&mut self) -> Option<(SimTime, EventHandle, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let (entry, payload) = self.remove_at(0);
-        // `remove_at` bumped the slot's generation; the fired event was
+        self.refill_root();
+        let entry = *self.heap.first()?;
+        // The root stays in place, vacant, until the next operation.
+        self.root_vacant = true;
+        let payload = self.release(entry.key);
+        // `release` bumped the slot's generation; the fired event was
         // scheduled under the previous one.
         let fired_generation = self.slots[entry.key as usize].generation.wrapping_sub(1);
         let handle = EventHandle::new(entry.key, fired_generation);
@@ -294,23 +319,31 @@ impl<E> EventQueue<E> {
     #[must_use]
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        if !self.root_vacant {
+            return self.heap.first().map(|e| e.time);
+        }
+        // Under a vacant root the earliest event is one of its children.
+        match (self.heap.get(1), self.heap.get(2)) {
+            (Some(l), Some(r)) => Some(if r.before(l) { r.time } else { l.time }),
+            (l, _) => l.map(|e| e.time),
+        }
     }
 
     /// Number of pending events in the queue.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.root_vacant)
     }
 
     /// Returns `true` if no pending events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Removes every pending event, invalidating their handles.
     pub fn clear(&mut self) {
+        self.refill_root();
         for entry in self.heap.drain(..) {
             let slot = &mut self.slots[entry.key as usize];
             slot.pos = VACANT;
@@ -331,10 +364,25 @@ impl<E> EventQueue<E> {
         Some(slot.pos as usize)
     }
 
-    /// Removes and returns the entry at heap position `pos` with its payload,
-    /// freeing its slot and restoring the heap invariant.
+    /// Refills a vacant root with the tail entry and sifts it down — the
+    /// second half of a pop, deferred in case a push could take its place.
     #[inline]
-    fn remove_at(&mut self, pos: usize) -> (Entry, E) {
+    fn refill_root(&mut self) {
+        if !self.root_vacant {
+            return;
+        }
+        self.root_vacant = false;
+        let tail = self.heap.pop().expect("a vacant root is a heap entry");
+        if !self.heap.is_empty() {
+            self.heap[0] = tail;
+            self.sift_down(0);
+        }
+    }
+
+    /// Removes the entry at heap position `pos`, frees its slot and restores
+    /// the heap invariant. Requires a refilled root.
+    #[inline]
+    fn remove_at(&mut self, pos: usize) {
         let entry = self.heap[pos];
         let tail = self.heap.pop().expect("pos < len implies non-empty");
         if pos < self.heap.len() {
@@ -345,12 +393,19 @@ impl<E> EventQueue<E> {
             let settled = self.sift_down(pos);
             self.sift_up(settled);
         }
-        let slot = &mut self.slots[entry.key as usize];
+        self.release(entry.key);
+    }
+
+    /// Frees slot `key` of an event leaving the queue: marks it vacant,
+    /// bumps its generation and returns its payload.
+    #[inline]
+    fn release(&mut self, key: u32) -> E {
+        let slot = &mut self.slots[key as usize];
         slot.pos = VACANT;
         slot.generation = slot.generation.wrapping_add(1);
         let payload = slot.payload.take().expect("queued entry parks a payload");
-        self.free.push(entry.key);
-        (entry, payload)
+        self.free.push(key);
+        payload
     }
 
     /// Moves the entry at `pos` up until its parent is not after it; returns

@@ -7,6 +7,13 @@
 //! equal-timestamp FIFO ties and reschedule's pushed-afresh tie semantics),
 //! the success/failure of every cancel and reschedule (stale handles must be
 //! rejected), and the live-event count after every operation.
+//!
+//! A pop leaves the heap's root vacant until the next operation refills it
+//! (a push by taking its place, anything else by the usual tail refill). The
+//! composite operations below pin those paths: pop→push, pop→cancel, a pop
+//! followed by nothing but reads (`len`, `peek_time`), and a snapshot taken
+//! mid-sequence, vacant root included, which must drain exactly like the
+//! model while leaving the original untouched.
 
 use proptest::prelude::*;
 
@@ -15,10 +22,28 @@ use dias_des::{EventHandle, EventQueue, SimTime};
 /// One randomly generated operation; indices select among issued handles.
 #[derive(Debug, Clone)]
 enum Op {
-    Push { time_units: u32 },
-    Cancel { handle_idx: usize },
-    Reschedule { handle_idx: usize, time_units: u32 },
+    Push {
+        time_units: u32,
+    },
+    Cancel {
+        handle_idx: usize,
+    },
+    Reschedule {
+        handle_idx: usize,
+        time_units: u32,
+    },
     Pop,
+    /// A pop immediately followed by a push: the push fills the vacant root.
+    PopPush {
+        time_units: u32,
+    },
+    /// A pop immediately followed by a cancel, which refills the root first.
+    PopCancel {
+        handle_idx: usize,
+    },
+    /// Snapshot the queue as it stands and drain the copy against a copy of
+    /// the model; the original carries on.
+    Snapshot,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -31,11 +56,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
             time_units
         }),
         Just(Op::Pop),
+        (0u32..50).prop_map(|time_units| Op::PopPush { time_units }),
+        (0usize..200).prop_map(|handle_idx| Op::PopCancel { handle_idx }),
+        Just(Op::Snapshot),
     ]
 }
 
 /// The naive reference: a `Vec` of live `(time, seq, id)` events.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct NaiveModel {
     live: Vec<(SimTime, u64, u64)>,
     next_seq: u64,
@@ -83,6 +111,22 @@ impl NaiveModel {
     }
 }
 
+/// Every observable read agrees with the model: the live count and the
+/// earliest timestamp (both plain reads, so they leave a vacant root vacant).
+fn assert_reads_agree(queue: &EventQueue<u64>, model: &NaiveModel) {
+    assert_eq!(queue.len(), model.live.len(), "live counts diverged");
+    assert_eq!(queue.is_empty(), model.live.is_empty());
+    assert_eq!(
+        queue.peek_time(),
+        model
+            .live
+            .iter()
+            .map(|&(t, s, _)| (t, s))
+            .min()
+            .map(|(t, _)| t)
+    );
+}
+
 fn run_scenario(ops: &[Op]) {
     let mut queue: EventQueue<u64> = EventQueue::new();
     let mut model = NaiveModel::default();
@@ -92,65 +136,15 @@ fn run_scenario(ops: &[Op]) {
     let mut next_id = 0u64;
 
     for op in ops {
-        match *op {
-            Op::Push { time_units } => {
-                let t = SimTime::from_secs(f64::from(time_units));
-                let id = next_id;
-                next_id += 1;
-                let h = queue.push(t, id);
-                model.push(t, id);
-                handles.push((h, id));
-            }
-            Op::Cancel { handle_idx } => {
-                if handles.is_empty() {
-                    continue;
-                }
-                let (h, id) = handles[handle_idx % handles.len()];
-                let expect = model.cancel(id);
-                assert_eq!(
-                    queue.cancel(h),
-                    expect,
-                    "cancel of event {id} disagrees with the model"
-                );
-            }
-            Op::Reschedule {
-                handle_idx,
-                time_units,
-            } => {
-                if handles.is_empty() {
-                    continue;
-                }
-                let (h, id) = handles[handle_idx % handles.len()];
-                let t = SimTime::from_secs(f64::from(time_units));
-                let expect = model.reschedule(id, t);
-                assert_eq!(
-                    queue.reschedule(h, t),
-                    expect,
-                    "reschedule of event {id} disagrees with the model"
-                );
-            }
-            Op::Pop => {
-                let got = queue.pop();
-                let want = model.pop();
-                assert_eq!(got, want, "pop order diverged from the model");
-            }
-        }
-        assert_eq!(queue.len(), model.live.len(), "live counts diverged");
-        assert_eq!(
-            queue.peek_time(),
-            model
-                .live
-                .iter()
-                .map(|&(t, s, _)| (t, s))
-                .min()
-                .map(|(t, _)| t)
-        );
+        apply(op, &mut queue, &mut model, &mut handles, &mut next_id);
+        assert_reads_agree(&queue, &model);
     }
 
     // Drain: the remaining pop order must match exactly, and every issued
     // handle must be stale afterwards.
     while let Some(want) = model.pop() {
         assert_eq!(queue.pop(), Some(want), "drain order diverged");
+        assert_reads_agree(&queue, &model);
     }
     assert!(queue.is_empty());
     assert_eq!(queue.pop(), None);
@@ -161,6 +155,81 @@ fn run_scenario(ops: &[Op]) {
         );
         assert!(!queue.reschedule(h, SimTime::ZERO));
         assert!(!model.contains(id));
+    }
+}
+
+fn apply(
+    op: &Op,
+    queue: &mut EventQueue<u64>,
+    model: &mut NaiveModel,
+    handles: &mut Vec<(EventHandle, u64)>,
+    next_id: &mut u64,
+) {
+    match *op {
+        Op::PopPush { time_units } => {
+            apply(&Op::Pop, queue, model, handles, next_id);
+            assert_reads_agree(queue, model);
+            apply(&Op::Push { time_units }, queue, model, handles, next_id);
+        }
+        Op::PopCancel { handle_idx } => {
+            apply(&Op::Pop, queue, model, handles, next_id);
+            assert_reads_agree(queue, model);
+            apply(&Op::Cancel { handle_idx }, queue, model, handles, next_id);
+        }
+        Op::Snapshot => {
+            let mut copy = queue.snapshot();
+            let mut copy_model = model.clone();
+            assert_reads_agree(&copy, &copy_model);
+            // Handles issued before the snapshot resolve in the copy.
+            if let Some(&(h, id)) = handles.last() {
+                assert_eq!(copy.cancel(h), copy_model.cancel(id));
+            }
+            while let Some(want) = copy_model.pop() {
+                assert_eq!(copy.pop(), Some(want), "snapshot drain diverged");
+            }
+            assert!(copy.is_empty());
+        }
+        Op::Push { time_units } => {
+            let t = SimTime::from_secs(f64::from(time_units));
+            let id = *next_id;
+            *next_id += 1;
+            let h = queue.push(t, id);
+            model.push(t, id);
+            handles.push((h, id));
+        }
+        Op::Cancel { handle_idx } => {
+            if handles.is_empty() {
+                return;
+            }
+            let (h, id) = handles[handle_idx % handles.len()];
+            let expect = model.cancel(id);
+            assert_eq!(
+                queue.cancel(h),
+                expect,
+                "cancel of event {id} disagrees with the model"
+            );
+        }
+        Op::Reschedule {
+            handle_idx,
+            time_units,
+        } => {
+            if handles.is_empty() {
+                return;
+            }
+            let (h, id) = handles[handle_idx % handles.len()];
+            let t = SimTime::from_secs(f64::from(time_units));
+            let expect = model.reschedule(id, t);
+            assert_eq!(
+                queue.reschedule(h, t),
+                expect,
+                "reschedule of event {id} disagrees with the model"
+            );
+        }
+        Op::Pop => {
+            let got = queue.pop();
+            let want = model.pop();
+            assert_eq!(got, want, "pop order diverged from the model");
+        }
     }
 }
 

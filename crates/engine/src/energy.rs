@@ -177,9 +177,10 @@ impl EnergyMeter {
     }
 
     /// Drains the finalized attributions (keeps long-running drivers'
-    /// memory flat: harvest each job as it completes).
-    pub fn take_finished(&mut self) -> Vec<(JobId, JobEnergy)> {
-        std::mem::take(&mut self.finished)
+    /// memory flat: harvest each job as it completes). The ledger keeps its
+    /// capacity, so harvesting every completion does not allocate.
+    pub fn take_finished(&mut self) -> std::vec::Drain<'_, (JobId, JobEnergy)> {
+        self.finished.drain(..)
     }
 
     /// Current power draw in watts.

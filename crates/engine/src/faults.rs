@@ -86,10 +86,12 @@ pub struct FaultEvent {
 ///
 /// Cheap to clone — the events are `Arc`-shared, so one trace fans out to
 /// many concurrent sweep points, each replaying the identical failure
-/// history (the fault analogue of common random numbers).
+/// history (the fault analogue of common random numbers). The shared
+/// buffer is the sorted `Vec` itself, so building a trace of millions of
+/// events never holds a second copy of it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultTrace {
-    events: Arc<[FaultEvent]>,
+    events: Arc<Vec<FaultEvent>>,
 }
 
 impl FaultTrace {
@@ -130,7 +132,7 @@ impl FaultTrace {
                 .then(a.slot.cmp(&b.slot))
         });
         Ok(FaultTrace {
-            events: events.into(),
+            events: Arc::new(events),
         })
     }
 

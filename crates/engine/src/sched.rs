@@ -153,34 +153,51 @@ pub trait Scheduler: fmt::Debug + Send {
     }
 }
 
-/// Free contiguous gaps left between the running jobs' slot ranges, in slot
-/// order.
-fn free_gaps(total_slots: usize, running: &[RunningView]) -> Vec<SlotRange> {
-    let mut ranges: Vec<SlotRange> = running.iter().map(|r| r.slots).collect();
-    ranges.sort_by_key(|r| r.start);
-    let mut gaps = Vec::new();
-    let mut cursor = 0usize;
-    for r in ranges {
-        if r.start > cursor {
-            gaps.push(SlotRange::new(cursor, r.start - cursor));
+/// Best-fit placement: the smallest free gap between the `occupied` ranges
+/// (which may overlap) that still holds `width` slots, ties broken by lowest
+/// start, truncated to exactly `width`.
+///
+/// Allocation-free: a maximal free gap starts at slot 0 or where some
+/// occupied range ends, at a slot no range covers, and runs up to the
+/// nearest range start beyond it (or the cluster's end). Each candidate
+/// start is checked against every range — quadratic in the handful of
+/// running gangs, but no sort and no gap list per call.
+fn best_fit<I>(width: usize, total_slots: usize, occupied: I) -> Option<SlotRange>
+where
+    I: Iterator<Item = SlotRange> + Clone,
+{
+    let w = width.clamp(1, total_slots);
+    // The tightest gap so far, as `(count, start)`.
+    let mut best: Option<(usize, usize)> = None;
+    for start in std::iter::once(0).chain(occupied.clone().map(|r| r.end())) {
+        if start >= total_slots {
+            continue;
         }
-        cursor = cursor.max(r.end());
+        let mut end = total_slots;
+        let mut covered = false;
+        for r in occupied.clone() {
+            if r.start <= start && start < r.end() {
+                covered = true;
+                break;
+            }
+            if r.start > start {
+                end = end.min(r.start);
+            }
+        }
+        let count = end - start;
+        if covered || count < w {
+            continue;
+        }
+        if best.is_none_or(|b| (count, start) < b) {
+            best = Some((count, start));
+        }
     }
-    if cursor < total_slots {
-        gaps.push(SlotRange::new(cursor, total_slots - cursor));
-    }
-    gaps
+    best.map(|(_, start)| SlotRange::new(start, w))
 }
 
-/// Best-fit placement: the smallest free gap that still holds `width` slots
-/// (ties broken by lowest start), truncated to exactly `width`.
-fn best_fit(width: usize, total_slots: usize, running: &[RunningView]) -> Option<SlotRange> {
-    let w = width.clamp(1, total_slots);
-    free_gaps(total_slots, running)
-        .into_iter()
-        .filter(|g| g.count >= w)
-        .min_by_key(|g| (g.count, g.start))
-        .map(|g| SlotRange::new(g.start, w))
+/// The slot ranges of `running`, as [`best_fit`] takes them.
+fn ranges(running: &[RunningView]) -> impl Iterator<Item = SlotRange> + Clone + '_ {
+    running.iter().map(|r| r.slots)
 }
 
 /// One job at a time over the full cluster — the paper's model and the
@@ -337,7 +354,7 @@ impl Scheduler for GangBinPack {
         total_slots: usize,
         running: &[RunningView],
     ) -> Option<SlotRange> {
-        best_fit(width, total_slots, running)
+        best_fit(width, total_slots, ranges(running))
     }
 
     fn pick_next(
@@ -349,7 +366,7 @@ impl Scheduler for GangBinPack {
         pending
             .iter()
             .enumerate()
-            .find_map(|(i, p)| best_fit(p.width, total_slots, running).map(|r| (i, r)))
+            .find_map(|(i, p)| best_fit(p.width, total_slots, ranges(running)).map(|r| (i, r)))
     }
 }
 
@@ -379,7 +396,7 @@ impl Scheduler for PriorityPreempt {
         total_slots: usize,
         running: &[RunningView],
     ) -> Option<SlotRange> {
-        best_fit(width, total_slots, running)
+        best_fit(width, total_slots, ranges(running))
     }
 
     fn pick_next(
@@ -388,12 +405,24 @@ impl Scheduler for PriorityPreempt {
         total_slots: usize,
         running: &[RunningView],
     ) -> Option<(usize, SlotRange)> {
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        // Highest class first; stable sort keeps FCFS order within a class.
-        order.sort_by_key(|&i| std::cmp::Reverse(pending[i].class));
-        order
-            .into_iter()
-            .find_map(|i| best_fit(pending[i].width, total_slots, running).map(|r| (i, r)))
+        // Highest class first, FCFS within a class: walk the classes present
+        // from the top down, each in queue order.
+        let mut class = pending.iter().map(|p| p.class).max()?;
+        loop {
+            let found = pending
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.class == class)
+                .find_map(|(i, p)| best_fit(p.width, total_slots, ranges(running)).map(|r| (i, r)));
+            if found.is_some() {
+                return found;
+            }
+            class = pending
+                .iter()
+                .map(|p| p.class)
+                .filter(|&c| c < class)
+                .max()?;
+        }
     }
 
     fn victim(
@@ -407,12 +436,8 @@ impl Scheduler for PriorityPreempt {
         // strictly-lower-class job? If not (same-or-higher-class jobs
         // fragment the cluster too much), evicting anything destroys work
         // for zero benefit — decline and let the arrival queue.
-        let survivors: Vec<RunningView> = running
-            .iter()
-            .filter(|r| r.class >= class)
-            .copied()
-            .collect();
-        best_fit(width, total_slots, &survivors)?;
+        let survivors = running.iter().filter(|r| r.class >= class).map(|r| r.slots);
+        best_fit(width, total_slots, survivors)?;
         running
             .iter()
             .filter(|r| r.class < class)

@@ -33,6 +33,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -195,11 +196,10 @@ enum Phase {
         since: SimTime,
         handle: EventHandle,
     },
-    Stage {
-        idx: usize,
-        queue: VecDeque<f64>,
-        running: Vec<RunningTask>,
-    },
+    /// Stage `idx`: its tasks from `next` on (an index into
+    /// [`JobWork::tasks`]) wait for a slot; the run's `running` tasks hold one
+    /// each.
+    Stage { idx: usize, next: usize },
 }
 
 #[derive(Debug, Clone)]
@@ -217,9 +217,33 @@ struct JobWork {
     /// Slots the job asks for: its widest kept stage, at least 1.
     width: usize,
     setup_secs: f64,
-    stage_tasks: Vec<Vec<f64>>,
-    shuffle_secs: Vec<f64>,
+    /// Kept task durations of every stage, back to back in stage order.
+    tasks: Vec<f64>,
+    /// One entry per stage, in order.
+    stages: Vec<StageWork>,
     tasks_dropped: usize,
+}
+
+/// Where a stage's kept tasks end in [`JobWork::tasks`], and the shuffle
+/// that follows it.
+#[derive(Debug, Clone, Copy)]
+struct StageWork {
+    /// One past the stage's last task.
+    end: usize,
+    /// Duration of the shuffle into the next stage (0 after the last).
+    shuffle_secs: f64,
+}
+
+impl JobWork {
+    /// Indices of stage `stage`'s tasks in [`JobWork::tasks`].
+    fn stage_range(&self, stage: usize) -> Range<usize> {
+        let start = if stage == 0 {
+            0
+        } else {
+            self.stages[stage - 1].end
+        };
+        start..self.stages[stage].end
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -244,6 +268,10 @@ struct Run {
     sprint_secs: f64,
     sprint_since: Option<SimTime>,
     tasks_run: usize,
+    /// In-flight tasks of the current stage, one per busy slot. Sized at
+    /// dispatch for the most tasks the run can hold at once and reused by
+    /// every stage; empty during a serial phase.
+    running: Vec<RunningTask>,
 }
 
 impl Run {
@@ -251,7 +279,7 @@ impl Run {
     fn busy(&self) -> usize {
         match &self.phase {
             Phase::Serial { .. } => 1,
-            Phase::Stage { running, .. } => running.len(),
+            Phase::Stage { .. } => self.running.len(),
         }
     }
 }
@@ -294,6 +322,11 @@ pub struct ClusterSim {
     scheduler: Box<dyn Scheduler>,
     meter: EnergyMeter,
     dispatched: Vec<DispatchRecord>,
+    /// Scratch for the running views handed to the scheduler, refilled on
+    /// every call so the hot path does not allocate (not checkpointed).
+    views: Vec<RunningView>,
+    /// Scratch for the pending views of [`ClusterSim::backfill`].
+    pending_views: Vec<PendingView>,
     /// Per-slot fault state, indexed by slot. All-`Up`/`1.0` on a healthy
     /// cluster; the `unavailable`/`stragglers` counters fast-path that case
     /// so fault-free runs pay nothing.
@@ -401,6 +434,8 @@ impl ClusterSim {
             scheduler,
             meter,
             dispatched: Vec::new(),
+            views: Vec::new(),
+            pending_views: Vec::new(),
             slot_states: vec![
                 SlotState {
                     health: SlotHealth::Up,
@@ -532,9 +567,10 @@ impl ClusterSim {
     /// re-dispatch of an evicted job — appends one [`DispatchRecord`]. Drivers
     /// that need per-attempt dispatch timestamps (queueing decomposition,
     /// per-attempt sprint timers) harvest them here; callers that ignore the
-    /// log pay one `Vec` push per dispatch.
-    pub fn take_dispatched(&mut self) -> Vec<DispatchRecord> {
-        std::mem::take(&mut self.dispatched)
+    /// log pay one `Vec` push per dispatch. The log keeps its capacity, so
+    /// a driver draining it every step does not allocate.
+    pub fn take_dispatched(&mut self) -> std::vec::Drain<'_, DispatchRecord> {
+        self.dispatched.drain(..)
     }
 
     /// Captures the simulation's complete mutable state as an owned
@@ -631,36 +667,40 @@ impl ClusterSim {
             return Err(EngineError::BadDrops("ratios must be in [0,1]".into()));
         }
 
-        let mut tasks_dropped = 0;
-        let mut total_tasks = 0;
-        let stage_tasks: Vec<Vec<f64>> = instance
-            .task_secs
-            .iter()
-            .zip(drops)
-            .map(|(ts, &theta)| {
-                let keep = ((ts.len() as f64) * (1.0 - theta)).ceil() as usize;
-                tasks_dropped += ts.len() - keep;
-                total_tasks += ts.len();
-                ts[..keep].to_vec()
-            })
-            .collect();
+        let total_tasks: usize = instance.task_secs.iter().map(Vec::len).sum();
+        let mut tasks = Vec::with_capacity(total_tasks);
+        let mut stages = Vec::with_capacity(drops.len());
+        let mut width = 1;
+        for (i, (ts, &theta)) in instance.task_secs.iter().zip(drops).enumerate() {
+            let keep = ((ts.len() as f64) * (1.0 - theta)).ceil() as usize;
+            width = width.max(keep);
+            tasks.extend_from_slice(&ts[..keep]);
+            stages.push(StageWork {
+                end: tasks.len(),
+                shuffle_secs: if i + 1 < drops.len() {
+                    instance.shuffle_secs[i]
+                } else {
+                    0.0
+                },
+            });
+        }
 
+        let tasks_dropped = total_tasks - tasks.len();
         let kept_fraction = if total_tasks == 0 {
             1.0
         } else {
-            (total_tasks - tasks_dropped) as f64 / total_tasks as f64
+            tasks.len() as f64 / total_tasks as f64
         };
         let f = instance.spec.setup_data_fraction;
         let setup_secs = instance.setup_secs * (1.0 - f + f * kept_fraction);
-        let width = stage_tasks.iter().map(Vec::len).max().unwrap_or(0).max(1);
 
         Ok(JobWork {
             job: instance.spec.id,
             class: instance.class(),
             width,
             setup_secs,
-            stage_tasks,
-            shuffle_secs: instance.shuffle_secs.clone(),
+            tasks,
+            stages,
             tasks_dropped,
         })
     }
@@ -673,17 +713,17 @@ impl ClusterSim {
     /// phantom is never a legal preemption victim, and [`Fifo`] (which only
     /// places on an empty view set) treats any capacity loss as a full
     /// outage — the paper's whole-cluster gang semantics.
-    fn running_views(&self) -> Vec<RunningView> {
-        let mut views: Vec<RunningView> = self
-            .runs
-            .iter()
-            .map(|r| RunningView {
-                job: r.work.job,
-                class: r.work.class,
-                slots: r.slots,
-                started: r.started,
-            })
-            .collect();
+    ///
+    /// Written into the sim's `views` buffer, which keeps its capacity.
+    fn fill_running_views(&mut self) {
+        let views = &mut self.views;
+        views.clear();
+        views.extend(self.runs.iter().map(|r| RunningView {
+            job: r.work.job,
+            class: r.work.class,
+            slots: r.slots,
+            started: r.started,
+        }));
         if self.unavailable > 0 {
             let mut s = 0;
             let n = self.slot_states.len();
@@ -704,7 +744,6 @@ impl ClusterSim {
                 });
             }
         }
-        views
     }
 
     /// Dispatches `instance` with per-stage drop ratios `drops` at the current
@@ -718,9 +757,12 @@ impl ClusterSim {
     /// [`EngineError::BadDrops`] for a malformed drop vector.
     pub fn start_job(&mut self, instance: &JobInstance, drops: &[f64]) -> Result<(), EngineError> {
         let work = self.prepare(instance, drops)?;
-        let views = self.running_views();
+        self.fill_running_views();
         let total = self.spec.slots();
-        match self.scheduler.place(work.class, work.width, total, &views) {
+        match self
+            .scheduler
+            .place(work.class, work.width, total, &self.views)
+        {
             Some(slots) => {
                 self.dispatch(work, slots);
                 Ok(())
@@ -747,8 +789,11 @@ impl ClusterSim {
         let mut evicted: Vec<(JobId, EvictedWork)> = Vec::new();
 
         loop {
-            let views = self.running_views();
-            if let Some(slots) = self.scheduler.place(work.class, work.width, total, &views) {
+            self.fill_running_views();
+            if let Some(slots) = self
+                .scheduler
+                .place(work.class, work.width, total, &self.views)
+            {
                 self.dispatch(work, slots);
                 if !evicted.is_empty() {
                     // Eviction may have freed more capacity than the arrival
@@ -762,7 +807,9 @@ impl ClusterSim {
                     Submission::Preempted { slots, evicted }
                 });
             }
-            let victim = self.scheduler.victim(work.class, work.width, total, &views);
+            let victim = self
+                .scheduler
+                .victim(work.class, work.width, total, &self.views);
             // Only a still-running, strictly lower-class job is a legal
             // victim; anything else ends the eviction loop and queues the
             // arrival (guards against non-terminating scheduler answers).
@@ -816,7 +863,7 @@ impl ClusterSim {
             self.time + work.setup_secs / speed,
             Internal::SerialDone { job },
         );
-        let setup_secs = work.setup_secs;
+        let (setup_secs, width) = (work.setup_secs, work.width);
         self.runs.push(Run {
             work,
             slots,
@@ -834,6 +881,7 @@ impl ClusterSim {
             sprint_secs: 0.0,
             sprint_since: (freq == FreqLevel::Sprint).then_some(self.time),
             tasks_run: 0,
+            running: Vec::with_capacity(width.min(slots.count)),
         });
         self.dispatched.push(DispatchRecord {
             job,
@@ -846,22 +894,20 @@ impl ClusterSim {
     /// Dispatches pending jobs into freed capacity until the scheduler
     /// declines (called after every departure).
     fn backfill(&mut self) {
-        loop {
-            let pending_views: Vec<PendingView> = self
-                .pending
-                .iter()
-                .map(|p| PendingView {
+        let total = self.spec.slots();
+        while !self.pending.is_empty() {
+            self.pending_views.clear();
+            self.pending_views
+                .extend(self.pending.iter().map(|p| PendingView {
                     job: p.work.job,
                     class: p.work.class,
                     width: p.work.width,
-                })
-                .collect();
-            if pending_views.is_empty() {
-                return;
-            }
-            let views = self.running_views();
-            let total = self.spec.slots();
-            let Some((idx, slots)) = self.scheduler.pick_next(&pending_views, total, &views) else {
+                }));
+            self.fill_running_views();
+            let Some((idx, slots)) =
+                self.scheduler
+                    .pick_next(&self.pending_views, total, &self.views)
+            else {
                 return;
             };
             let p = self
@@ -949,11 +995,11 @@ impl ClusterSim {
                 run.work_done += elapsed_work;
                 self.queue.cancel(*handle);
             }
-            Phase::Stage { running, .. } => {
-                for task in running {
+            Phase::Stage { .. } => {
+                for task in &run.running {
                     run.work_done += ((self.time - task.since) * speed).min(task.work_left);
                 }
-                self.queue.cancel_many(running.iter().map(|t| t.handle));
+                self.queue.cancel_many(run.running.iter().map(|t| t.handle));
             }
         }
         let sprint_secs = run.sprint_secs + run.sprint_since.map_or(0.0, |s| self.time - s);
@@ -1007,8 +1053,8 @@ impl ClusterSim {
                 *since = now;
                 self.queue.reschedule(*handle, now + *work_left / new_speed);
             }
-            Phase::Stage { running, .. } => {
-                for task in running.iter_mut() {
+            Phase::Stage { .. } => {
+                for task in &mut run.running {
                     let done = ((now - task.since) * old_speed).min(task.work_left);
                     run.work_done += done;
                     task.work_left -= done;
@@ -1103,9 +1149,10 @@ impl ClusterSim {
         let (tasks_left, stage_done) = match &mut run.phase {
             Phase::Stage {
                 idx: stage_idx,
-                queue,
-                running,
+                next,
             } if *stage_idx == stage => {
+                let end = run.work.stages[stage].end;
+                let running = &mut run.running;
                 // Remove exactly the task whose completion event fired,
                 // matched by handle (the pre-PR3 engine matched by residual
                 // work within an epsilon, which is ambiguous under ties).
@@ -1116,8 +1163,10 @@ impl ClusterSim {
                 let done = running.swap_remove(pos);
                 run.work_done += done.work_left;
                 run.tasks_run += 1;
-                // Launch the next pending task on the freed slot.
-                if let Some(work) = queue.pop_front() {
+                // Launch the next waiting task on the freed slot.
+                if *next < end {
+                    let work = run.work.tasks[*next];
+                    *next += 1;
                     let handle = self
                         .queue
                         .push(time + work / speed, Internal::TaskDone { job, stage });
@@ -1128,8 +1177,8 @@ impl ClusterSim {
                     });
                 }
                 (
-                    queue.len() + running.len(),
-                    running.is_empty() && queue.is_empty(),
+                    end - *next + running.len(),
+                    running.is_empty() && *next == end,
                 )
             }
             _ => return Err(EngineError::Idle),
@@ -1148,9 +1197,9 @@ impl ClusterSim {
         }
         // Stage complete: shuffle to the next stage or finish the job.
         let run = &mut self.runs[idx];
-        let total_stages = run.work.stage_tasks.len();
+        let total_stages = run.work.stages.len();
         if stage + 1 < total_stages {
-            let shuffle = run.work.shuffle_secs[stage];
+            let shuffle = run.work.stages[stage].shuffle_secs;
             let freq = run.freq;
             let handle = self
                 .queue
@@ -1179,14 +1228,14 @@ impl ClusterSim {
         let speed = self.spec.speed_at(freq) / run.slow;
         let job = run.work.job;
         let slots = run.slots.count;
-        if stage >= run.work.stage_tasks.len() {
+        if stage >= run.work.stages.len() {
             return Some(self.finish_job(idx));
         }
-        let mut queue: VecDeque<f64> = run.work.stage_tasks[stage].iter().copied().collect();
-        if queue.is_empty() {
+        let tasks = run.work.stage_range(stage);
+        if tasks.is_empty() {
             // Entire stage dropped: move straight through its shuffle or finish.
-            if stage + 1 < run.work.stage_tasks.len() {
-                let shuffle = run.work.shuffle_secs[stage];
+            if stage + 1 < run.work.stages.len() {
+                let shuffle = run.work.stages[stage].shuffle_secs;
                 let handle = self
                     .queue
                     .push(time + shuffle / speed, Internal::SerialDone { job });
@@ -1202,24 +1251,21 @@ impl ClusterSim {
             }
             return Some(self.finish_job(idx));
         }
-        let mut running = Vec::new();
-        while running.len() < slots {
-            let Some(work) = queue.pop_front() else { break };
+        let mut next = tasks.start;
+        while run.running.len() < slots && next < tasks.end {
+            let work = run.work.tasks[next];
+            next += 1;
             let handle = self
                 .queue
                 .push(time + work / speed, Internal::TaskDone { job, stage });
-            running.push(RunningTask {
+            run.running.push(RunningTask {
                 work_left: work,
                 since: time,
                 handle,
             });
         }
-        let job_busy = running.len();
-        run.phase = Phase::Stage {
-            idx: stage,
-            queue,
-            running,
-        };
+        let job_busy = run.running.len();
+        run.phase = Phase::Stage { idx: stage, next };
         self.meter.update_job(time, job, job_busy, freq);
         None
     }

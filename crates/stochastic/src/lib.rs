@@ -47,7 +47,7 @@ pub use discrete::DiscreteDist;
 pub use evaluator::{PhEvaluator, PhSampler, QUANTILE_SATURATION};
 pub use mmap::{MarkedArrival, MarkedPoisson, MarkedPoissonSampler, Mmap, MmapSampler};
 pub use ph::{Ph, PhError};
-pub use scalar::{Dist, DistSampler, ZipfSampler};
+pub use scalar::{sample_lognormal, Dist, DistSampler, ZipfSampler};
 pub use trace::{DrawTrace, RecordingRng, ReplayRng};
 
 /// Draws an exponential variate with the given `rate` using inverse transform.

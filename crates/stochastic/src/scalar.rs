@@ -201,10 +201,8 @@ impl Dist {
             }
             Dist::Uniform { lo, hi } => rng.gen_range(lo..hi),
             Dist::LogNormal { mean, scv } => {
-                // If X = exp(μ + σZ): E[X] = exp(μ + σ²/2), SCV = exp(σ²) − 1.
-                let sigma2 = (1.0 + scv).ln();
-                let mu = mean.ln() - 0.5 * sigma2;
-                (mu + sigma2.sqrt() * sample_std_normal(rng)).exp()
+                let (mu, sigma) = lognormal_params(mean, scv);
+                sample_lognormal(rng, mu, sigma)
             }
             Dist::HyperExp { mean, scv } => {
                 // Balanced-means 2-phase fit.
@@ -216,6 +214,18 @@ impl Dist {
                     sample_exp(rng, r2)
                 }
             }
+        }
+    }
+
+    /// The underlying normal's `(μ, σ)` for a lognormal, `None` for every
+    /// other shape: the parameters [`Dist::sample`] derives on each call (two
+    /// `ln` and a `sqrt`), for callers that draw one shape many times and
+    /// hoist them. Feed them to [`sample_lognormal`].
+    #[must_use]
+    pub fn lognormal_params(&self) -> Option<(f64, f64)> {
+        match *self {
+            Dist::LogNormal { mean, scv } => Some(lognormal_params(mean, scv)),
+            _ => None,
         }
     }
 
@@ -235,6 +245,22 @@ impl Dist {
             _ => crate::fit::ph_from_mean_scv(self.mean(), self.scv().max(1e-4)),
         }
     }
+}
+
+/// `(μ, σ)` of the normal underlying a lognormal with the given mean and
+/// SCV: if `X = exp(μ + σZ)`, then `E[X] = exp(μ + σ²/2)` and
+/// `SCV = exp(σ²) − 1`.
+fn lognormal_params(mean: f64, scv: f64) -> (f64, f64) {
+    let sigma2 = (1.0 + scv).ln();
+    (mean.ln() - 0.5 * sigma2, sigma2.sqrt())
+}
+
+/// One lognormal draw `exp(μ + σZ)` with a Box–Muller `Z`: the formula
+/// [`Dist::sample`] uses, so a caller holding hoisted
+/// [`Dist::lognormal_params`] draws the same RNG words and bit-identical
+/// values.
+pub fn sample_lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+    (mu + sigma * sample_std_normal(rng)).exp()
 }
 
 /// A repeated-draw sampler for one [`Dist`] with precomputed parameters.
@@ -315,11 +341,10 @@ impl DistSampler {
             },
             Dist::Uniform { lo, hi } => SamplerKind::Uniform { lo, hi },
             Dist::LogNormal { mean, scv } => {
-                let sigma2 = (1.0 + scv).ln();
-                let mu = mean.ln() - 0.5 * sigma2;
+                let (mu, sigma) = lognormal_params(mean, scv);
                 SamplerKind::LogNormal {
                     mu,
-                    sigma: sigma2.sqrt(),
+                    sigma,
                     scale: mu.exp(),
                     spare: None,
                 }

@@ -6,8 +6,10 @@ use rand::RngCore;
 use dias_core::JobSource;
 use dias_des::stats::SampleSet;
 use dias_des::SeedSequence;
-use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobInstance};
-use dias_stochastic::{sample_exp, DrawTrace, MarkedPoisson, RecordingRng, ReplayRng};
+use dias_engine::{ClusterSim, ClusterSpec, EngineEvent, JobId, JobInstance, JobSpec};
+use dias_stochastic::{
+    sample_exp, sample_lognormal, Dist, DrawTrace, MarkedPoisson, RecordingRng, ReplayRng,
+};
 
 use crate::profiles::JobProfile;
 
@@ -50,6 +52,73 @@ pub fn profile_execution(
     out
 }
 
+/// One class's job template, built once per stream: the spec every arrival
+/// of the class clones, plus each of its [`Dist`]s' hoisted draw parameters
+/// ([`Dist::lognormal_params`]; `None` for shapes drawn directly).
+///
+/// [`ClassTemplate::sample`] draws the same RNG words in the same order as
+/// `JobInstance::sample(&profile.spec(id, class), rng)` and yields the
+/// bit-identical instance, without building the spec twice or re-deriving a
+/// lognormal's `ln`s and `sqrt` on every draw.
+#[derive(Debug, Clone)]
+struct ClassTemplate {
+    spec: JobSpec,
+    setup: Option<(f64, f64)>,
+    shuffle: Option<(f64, f64)>,
+    /// One entry per stage of `spec`.
+    tasks: Vec<Option<(f64, f64)>>,
+}
+
+impl ClassTemplate {
+    fn new(profile: &JobProfile, class: usize) -> Self {
+        let spec = profile.spec(0, class);
+        ClassTemplate {
+            setup: spec.setup.lognormal_params(),
+            shuffle: spec.shuffle.lognormal_params(),
+            tasks: spec
+                .stages
+                .iter()
+                .map(|s| s.task_work.lognormal_params())
+                .collect(),
+            spec,
+        }
+    }
+
+    /// Samples job `id` of the class, in [`JobInstance::sample`]'s draw
+    /// order: setup, every shuffle, then each stage's tasks.
+    fn sample<R: RngCore>(&self, id: u64, rng: &mut R) -> JobInstance {
+        fn draw<R: RngCore>(dist: &Dist, params: Option<(f64, f64)>, rng: &mut R) -> f64 {
+            match params {
+                Some((mu, sigma)) => sample_lognormal(rng, mu, sigma),
+                None => dist.sample(rng),
+            }
+        }
+        let mut spec = self.spec.clone();
+        spec.id = JobId(id);
+        let setup_secs = draw(&spec.setup, self.setup, rng);
+        let shuffle_secs = (0..spec.stages.len().saturating_sub(1))
+            .map(|_| draw(&spec.shuffle, self.shuffle, rng))
+            .collect();
+        let task_secs = spec
+            .stages
+            .iter()
+            .zip(&self.tasks)
+            .map(|(s, &params)| {
+                (0..s.tasks)
+                    .map(|_| draw(&s.task_work, params, rng))
+                    .collect()
+            })
+            .collect();
+        JobInstance {
+            spec,
+            setup_secs,
+            shuffle_secs,
+            task_secs,
+            arrival_secs: 0.0,
+        }
+    }
+}
+
 /// An endless Poisson job stream: class `k` arrives at `rates[k]` and instantiates
 /// `profiles[k]`.
 ///
@@ -61,6 +130,8 @@ pub fn profile_execution(
 #[derive(Debug, Clone)]
 pub struct JobStream<R = StdRng> {
     profiles: Vec<JobProfile>,
+    /// One per class, built from `profiles` at construction.
+    templates: Vec<ClassTemplate>,
     arrivals: MarkedPoisson,
     rng: R,
     now: f64,
@@ -87,13 +158,11 @@ impl JobStream {
         }
         let arrivals = MarkedPoisson::new(rates)?;
         let seeds = SeedSequence::new(seed);
-        Ok(JobStream {
+        Ok(JobStream::start(
             profiles,
             arrivals,
-            rng: seeds.stream("jobstream"),
-            now: 0.0,
-            next_id: 0,
-        })
+            seeds.stream("jobstream"),
+        ))
     }
 
     /// Builds a stream whose total arrival rate hits `utilization` on `cluster`,
@@ -152,6 +221,7 @@ impl JobStream {
         );
         JobStream {
             profiles: self.profiles,
+            templates: self.templates,
             arrivals: self.arrivals,
             rng: RecordingRng::new(self.rng),
             now: self.now,
@@ -173,6 +243,24 @@ impl JobStream<RecordingRng<StdRng>> {
 }
 
 impl<R> JobStream<R> {
+    /// A stream at time zero, before its first job, with its class templates
+    /// built from `profiles`.
+    fn start(profiles: Vec<JobProfile>, arrivals: MarkedPoisson, rng: R) -> Self {
+        let templates = profiles
+            .iter()
+            .enumerate()
+            .map(|(class, p)| ClassTemplate::new(p, class))
+            .collect();
+        JobStream {
+            profiles,
+            templates,
+            arrivals,
+            rng,
+            now: 0.0,
+            next_id: 0,
+        }
+    }
+
     /// Per-class arrival rates (jobs/second).
     #[must_use]
     pub fn rates(&self) -> &[f64] {
@@ -196,8 +284,7 @@ impl<R: RngCore> JobSource for JobStream<R> {
         self.now = arrival.time;
         let id = self.next_id;
         self.next_id += 1;
-        let spec = self.profiles[arrival.class].spec(id, arrival.class);
-        let mut instance = JobInstance::sample(&spec, &mut self.rng);
+        let mut instance = self.templates[arrival.class].sample(id, &mut self.rng);
         instance.arrival_secs = arrival.time;
         Some(instance)
     }
@@ -222,13 +309,11 @@ impl JobStreamTrace {
     /// A fresh replay of the recorded stream from its beginning.
     #[must_use]
     pub fn replay(&self) -> JobStream<ReplayRng> {
-        JobStream {
-            profiles: self.profiles.clone(),
-            arrivals: MarkedPoisson::new(self.rates.clone()).expect("recorded rates are valid"),
-            rng: self.trace.replay(),
-            now: 0.0,
-            next_id: 0,
-        }
+        JobStream::start(
+            self.profiles.clone(),
+            MarkedPoisson::new(self.rates.clone()).expect("recorded rates are valid"),
+            self.trace.replay(),
+        )
     }
 
     /// Number of recorded RNG words.
@@ -256,6 +341,119 @@ pub fn exponential_gaps(rate: f64, n: usize, seed: u64) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::profiles::{dataset_147, profile_473};
+    use dias_engine::{StageKind, StageSpec};
+    use rand::SeedableRng;
+
+    /// A profile drawing from every [`Dist`] shape: the lognormal the
+    /// template hoists and each shape it samples directly.
+    fn every_shape() -> JobProfile {
+        JobProfile {
+            name: "shapes".into(),
+            input_mb: 10.0,
+            setup: Dist::exponential(3.0),
+            shuffle: Dist::hyperexp(2.0, 3.0),
+            setup_data_fraction: 0.5,
+            stages: vec![
+                StageSpec::new(StageKind::Map, 7, Dist::constant(4.0)),
+                StageSpec::new(StageKind::Map, 5, Dist::erlang(3, 2.0)),
+                StageSpec::new(StageKind::ShuffleMap, 6, Dist::uniform(1.0, 3.0)),
+                StageSpec::new(StageKind::Reduce, 4, Dist::lognormal(5.0, 0.3)),
+            ],
+        }
+    }
+
+    /// Word count, triangle count and the every-shape profile.
+    fn parity_profiles() -> Vec<JobProfile> {
+        vec![
+            dataset_147(),
+            JobProfile::triangle_count("tc", 100.0, 12, 8.0, 5, 4.0),
+            every_shape(),
+        ]
+    }
+
+    /// Equal specs and bit-identical sampled durations and arrival time.
+    fn assert_bitwise(got: &JobInstance, want: &JobInstance, what: &str) {
+        fn bits(j: &JobInstance) -> Vec<u64> {
+            let mut v = vec![j.setup_secs.to_bits(), j.arrival_secs.to_bits()];
+            v.extend(j.shuffle_secs.iter().map(|x| x.to_bits()));
+            for ts in &j.task_secs {
+                v.push(ts.len() as u64);
+                v.extend(ts.iter().map(|x| x.to_bits()));
+            }
+            v
+        }
+        assert_eq!(got.spec, want.spec, "{what}: spec");
+        assert_eq!(bits(got), bits(want), "{what}: sampled durations");
+    }
+
+    /// What a stream over `profiles` must yield: each arrival's spec built
+    /// afresh and sampled by [`JobInstance::sample`].
+    fn reference_jobs(
+        profiles: &[JobProfile],
+        rates: &[f64],
+        seed: u64,
+        n: u64,
+    ) -> Vec<JobInstance> {
+        let arrivals = MarkedPoisson::new(rates.to_vec()).unwrap();
+        let mut rng: StdRng = SeedSequence::new(seed).stream("jobstream");
+        let mut now = 0.0;
+        (0..n)
+            .map(|id| {
+                let a = arrivals.sample_next(&mut rng, now);
+                now = a.time;
+                let spec = profiles[a.class].spec(id, a.class);
+                let mut inst = JobInstance::sample(&spec, &mut rng);
+                inst.arrival_secs = a.time;
+                inst
+            })
+            .collect()
+    }
+
+    #[test]
+    fn template_sampler_matches_per_spec_sampling() {
+        for (i, profile) in parity_profiles().iter().enumerate() {
+            for class in 0..2 {
+                let template = ClassTemplate::new(profile, class);
+                let mut a = StdRng::seed_from_u64(40 + i as u64);
+                let mut b = a.clone();
+                for id in 0..50 {
+                    let got = template.sample(id, &mut a);
+                    let want = JobInstance::sample(&profile.spec(id, class), &mut b);
+                    assert_bitwise(
+                        &got,
+                        &want,
+                        &format!("{} class {class} job {id}", profile.name),
+                    );
+                    // The same RNG words were drawn, in the same order.
+                    assert_eq!(a, b, "{} job {id}: rng state diverged", profile.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_recording_and_replayed_streams_match_per_spec_sampling() {
+        let profiles = parity_profiles();
+        let rates = vec![0.02, 0.01, 0.005];
+        let want = reference_jobs(&profiles, &rates, 17, 120);
+
+        let mut live = JobStream::with_rates(profiles.clone(), rates.clone(), 17).unwrap();
+        let mut rec = JobStream::with_rates(profiles, rates, 17)
+            .unwrap()
+            .recording();
+        for (i, w) in want.iter().enumerate() {
+            assert_bitwise(&live.next_job().unwrap(), w, &format!("live job {i}"));
+            if i < 80 {
+                assert_bitwise(&rec.next_job().unwrap(), w, &format!("recording job {i}"));
+            }
+        }
+        // The replay reads the recorded prefix, then continues from the tail.
+        let trace = rec.into_trace();
+        let mut replay = trace.replay();
+        for (i, w) in want.iter().enumerate() {
+            assert_bitwise(&replay.next_job().unwrap(), w, &format!("replayed job {i}"));
+        }
+    }
 
     #[test]
     fn stream_produces_sorted_arrivals() {

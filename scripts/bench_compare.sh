@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the criterion micro benches (including the engine/multi_job/* family
 # and the sweep/branch checkpoint-replay pair), writes a fresh result file
-# (default BENCH_pr10.json at the repo root), and prints a per-benchmark delta
+# (default target/BENCH_current.json; pass BENCH_prN.json to record a ledger
+# entry at the repo root), and prints a per-benchmark delta
 # table against the committed baseline. Exits non-zero when any benchmark
 # present in the baseline regressed by more than the threshold.
 #
@@ -20,10 +21,11 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-out="${1:-$repo_root/BENCH_pr10.json}"
+out="${1:-$repo_root/target/BENCH_current.json}"
+mkdir -p "$(dirname "$out")"
 baseline="${DIAS_BENCH_BASELINE:-BENCH_baseline.json}"
 # Anchor a relative baseline at the repo root so the gate does not depend on
-# the caller's cwd (CI passes DIAS_BENCH_BASELINE=BENCH_pr9.json).
+# the caller's cwd (CI passes DIAS_BENCH_BASELINE=BENCH_pr16.json).
 case "$baseline" in
   /*) ;;
   *) baseline="$repo_root/$baseline" ;;
