@@ -150,6 +150,29 @@ fn bench_event_queue(c: &mut Criterion) {
         });
     });
 
+    // Task handoff on the paper's 20-slot cluster: each popped completion
+    // schedules its slot's next task at once (durations from an LCG), so the
+    // push refills the popped root with one sift-down.
+    c.bench_function("event_queue/handoff_20x1k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for i in 0..20u64 {
+                q.push(SimTime::from_secs((i % 7) as f64), i);
+            }
+            let mut sum = 0u64;
+            let mut x = 12345u64;
+            for _ in 0..1000 {
+                let (t, v) = q.pop().expect("every pop pushes a successor");
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                q.push(t + ((x >> 40) % 1000) as f64 * 0.01, v);
+                sum += v;
+            }
+            black_box(sum)
+        });
+    });
+
     // Decrease/increase-key churn: every pending event is rescheduled once
     // (the DVFS rescale pattern, where the tombstone queue had to cancel and
     // re-push).

@@ -36,8 +36,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 use dias_des::stats::{SampleSet, SampleStats};
 use dias_des::SimTime;
 use dias_engine::{
-    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, EngineEvent, EvictedWork, FaultTrace,
-    FreqLevel, JobId, JobInstance, Scheduler, Submission,
+    Checkpoint as EngineCheckpoint, ClusterSim, ClusterSpec, DispatchRecord, EngineEvent,
+    EvictedWork, FaultTrace, FreqLevel, JobId, JobInstance, Scheduler, Submission,
 };
 use dias_models::accuracy::{AccuracyCurve, SamplingErrorModel};
 
@@ -902,6 +902,11 @@ pub(crate) struct MultiDriver<S> {
     /// hot path stops allocating once millions of jobs flow through a shard
     /// (cleared and refilled in [`MultiDriver::admit`]; never checkpointed).
     drops_scratch: Vec<f64>,
+    /// The engine's dispatch log, moved out by
+    /// [`MultiDriver::drain_dispatches`] so that arming a timer can ask the
+    /// engine whether its attempt still runs (kept for its capacity; never
+    /// checkpointed).
+    dispatch_scratch: Vec<DispatchRecord>,
 }
 
 impl<S: JobSource> MultiDriver<S> {
@@ -984,6 +989,7 @@ impl<S: JobSource> MultiDriver<S> {
             total_completions: 0,
             events_done: 0,
             drops_scratch: Vec::new(),
+            dispatch_scratch: Vec::new(),
         }
         .with_sprinter(sprinter))
     }
@@ -1060,9 +1066,9 @@ impl<S: JobSource> MultiDriver<S> {
             .as_ref()
             .and_then(MultiSprinter::depletion_time);
         // Every armed timer belongs to a live attempt: timers die with their
-        // attempt (`purge_timers`), and `drain_dispatches` drops any armed
-        // for an attempt already gone, so none keeps the clock running past
-        // the last real event.
+        // attempt (`purge_timers`), and `drain_dispatches` arms none for an
+        // attempt already gone, so none keeps the clock running past the
+        // last real event.
         let timer_t = self.timers.iter().map(|t| t.at).min();
         // Fault events only matter while work remains (arrivals ahead or
         // jobs running/pending): once the run is winding down, a tail of
@@ -1379,8 +1385,9 @@ impl<S: JobSource> MultiDriver<S> {
     /// Drains the engine's dispatch log: every placement (arrival, backfill,
     /// eviction re-dispatch) stamps the attempt and arms its sprint timer.
     pub(crate) fn drain_dispatches(&mut self) {
-        let mut armed = false;
-        for d in self.engine.take_dispatched() {
+        let mut log = std::mem::take(&mut self.dispatch_scratch);
+        log.extend(self.engine.take_dispatched());
+        for d in log.drain(..) {
             let m = self
                 .meta
                 .get_mut(&d.job)
@@ -1392,27 +1399,23 @@ impl<S: JobSource> MultiDriver<S> {
             }
             m.last_dispatch = secs;
             m.width = d.slots.count;
-            if let Some(s) = self.sprinter.as_ref() {
-                if let Some(timeout) = s.timeout_for(m.class) {
+            if let Some(timeout) = self.sprinter.as_ref().and_then(|s| s.timeout_for(m.class)) {
+                // The log is in order, so this attempt supersedes the job's
+                // earlier timers. It may be dead already: a fault batch can
+                // evict a job that backfill had just re-placed, in the step
+                // that dispatched it. A dead attempt arms nothing.
+                let attempt = m.attempt;
+                self.purge_timers(d.job);
+                if self.engine.job_frequency(d.job).is_some() {
                     self.timers.push(SprintTimer {
                         at: d.time + timeout,
                         job: d.job,
-                        attempt: m.attempt,
+                        attempt,
                     });
-                    armed = true;
                 }
             }
         }
-        if armed {
-            // An attempt can die in the step that dispatched it: a fault
-            // batch evicts a job that backfill had just re-placed. Its timer
-            // is dead on arrival, like every timer of a superseded attempt.
-            let (meta, engine) = (&self.meta, &self.engine);
-            self.timers.retain(|t| {
-                meta.get(&t.job).is_some_and(|m| m.attempt == t.attempt)
-                    && engine.job_frequency(t.job).is_some()
-            });
-        }
+        self.dispatch_scratch = log;
     }
 
     /// Engine events processed so far.
@@ -1756,12 +1759,12 @@ mod tests {
         use dias_engine::{FaultEvent, FaultKind};
         // One 4-wide high-class job. At t = 10 a batch fails slots 0 and 1:
         // the first failure evicts the job and backfill re-places it on
-        // [1, 5); the second evicts that attempt too, so one drain sees two
-        // dispatches and arms a timer for an attempt already dead. Slots
-        // 6..20 fail at t = 15 beside the job's [2, 6); slot 2 fails at
-        // t = 20 and the attempt dies with no gap left to re-place it, so
-        // nothing is armed in that step. The repairs at t = 30 bring the
-        // last attempt, which completes before its 500 s timer fires.
+        // [1, 5); the second evicts that attempt too and it lands on [2, 6),
+        // so one drain sees a dead attempt's dispatch before a live one's.
+        // Slots 7..20 fail at t = 15. At t = 20 slot 2 fails (re-placed on
+        // [3, 7)) and then slot 3, which leaves no 4-slot gap: that drain's
+        // last dispatch is of an attempt already dead. The repairs at t = 30
+        // bring the last attempt, which completes before its 500 s timer.
         let mut rng = StdRng::seed_from_u64(5);
         let spec = JobSpec::builder(0, 1)
             .setup(Dist::constant(1.0))
@@ -1777,8 +1780,9 @@ mod tests {
             event(10.0, 0, FaultKind::Fail),
             event(10.0, 1, FaultKind::Fail),
         ];
-        faults.extend((6..20).map(|slot| event(15.0, slot, FaultKind::Fail)));
+        faults.extend((7..20).map(|slot| event(15.0, slot, FaultKind::Fail)));
         faults.push(event(20.0, 2, FaultKind::Fail));
+        faults.push(event(20.0, 3, FaultKind::Fail));
         faults.extend((0..20).map(|slot| event(30.0, slot, FaultKind::Repair)));
         let exp = MultiJobExperiment::new(VecJobSource::new(jobs, 2), Box::new(GangBinPack))
             .jobs(1)
@@ -1797,7 +1801,7 @@ mod tests {
             }
             attempts = driver.meta.get(&JobId(0)).map_or(attempts, |m| m.attempt);
         }
-        assert_eq!(attempts, 4, "three attempts die before the last completes");
+        assert_eq!(attempts, 5, "four attempts die before the last completes");
     }
 
     /// Cluster-wide jobs (20-task map stages): every high-class arrival must

@@ -82,6 +82,9 @@ impl fmt::Display for SlotRange {
 }
 
 /// Read-only view of one running job, handed to schedulers for decisions.
+///
+/// [`ClusterSim`](crate::ClusterSim) hands its views over sorted by
+/// `slots.start`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningView {
     /// The running job's id.
@@ -157,40 +160,46 @@ pub trait Scheduler: fmt::Debug + Send {
 /// (which may overlap) that still holds `width` slots, ties broken by lowest
 /// start, truncated to exactly `width`.
 ///
-/// Allocation-free: a maximal free gap starts at slot 0 or where some
-/// occupied range ends, at a slot no range covers, and runs up to the
-/// nearest range start beyond it (or the cluster's end). Each candidate
-/// start is checked against every range — quadratic in the handful of
-/// running gangs, but no sort and no gap list per call.
+/// The engine hands its views over sorted by start, so its calls sweep them
+/// in place without allocating; ranges in any other order are sorted into a
+/// fresh buffer first.
 fn best_fit<I>(width: usize, total_slots: usize, occupied: I) -> Option<SlotRange>
 where
     I: Iterator<Item = SlotRange> + Clone,
 {
+    if occupied.clone().is_sorted_by_key(|r| r.start) {
+        return best_fit_sorted(width, total_slots, occupied);
+    }
+    let mut sorted: Vec<SlotRange> = occupied.collect();
+    sorted.sort_unstable_by_key(|r| r.start);
+    best_fit_sorted(width, total_slots, sorted.into_iter())
+}
+
+/// [`best_fit`] over ranges sorted by start: one sweep over the free gaps
+/// they leave, in slot order.
+fn best_fit_sorted(
+    width: usize,
+    total_slots: usize,
+    occupied: impl Iterator<Item = SlotRange>,
+) -> Option<SlotRange> {
     let w = width.clamp(1, total_slots);
     // The tightest gap so far, as `(count, start)`.
     let mut best: Option<(usize, usize)> = None;
-    for start in std::iter::once(0).chain(occupied.clone().map(|r| r.end())) {
-        if start >= total_slots {
-            continue;
+    let mut consider = |start: usize, end: usize| {
+        let gap = (end - start, start);
+        if gap.0 >= w && best.is_none_or(|b| gap < b) {
+            best = Some(gap);
         }
-        let mut end = total_slots;
-        let mut covered = false;
-        for r in occupied.clone() {
-            if r.start <= start && start < r.end() {
-                covered = true;
-                break;
-            }
-            if r.start > start {
-                end = end.min(r.start);
-            }
+    };
+    let mut cursor = 0usize;
+    for r in occupied {
+        if r.start > cursor {
+            consider(cursor, r.start);
         }
-        let count = end - start;
-        if covered || count < w {
-            continue;
-        }
-        if best.is_none_or(|b| (count, start) < b) {
-            best = Some((count, start));
-        }
+        cursor = cursor.max(r.end());
+    }
+    if cursor < total_slots {
+        consider(cursor, total_slots);
     }
     best.map(|(_, start)| SlotRange::new(start, w))
 }

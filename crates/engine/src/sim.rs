@@ -714,7 +714,9 @@ impl ClusterSim {
     /// places on an empty view set) treats any capacity loss as a full
     /// outage — the paper's whole-cluster gang semantics.
     ///
-    /// Written into the sim's `views` buffer, which keeps its capacity.
+    /// Written into the sim's `views` buffer, which keeps its capacity, and
+    /// sorted by slot start, so best-fit placement sweeps the buffer in
+    /// place. Every built-in policy's choice is independent of view order.
     fn fill_running_views(&mut self) {
         let views = &mut self.views;
         views.clear();
@@ -744,6 +746,7 @@ impl ClusterSim {
                 });
             }
         }
+        views.sort_unstable_by_key(|v| v.slots.start);
     }
 
     /// Dispatches `instance` with per-stage drop ratios `drops` at the current

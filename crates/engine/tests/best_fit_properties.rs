@@ -6,7 +6,8 @@
 //! list of free gaps and takes the smallest gap that holds the job (lowest
 //! start among ties). The generated views include what the engine hands a
 //! scheduler under faults: phantom blocked ranges that overlap a draining
-//! run's range, ranges that touch or nest, and empty view sets.
+//! run's range, ranges that touch or nest, and empty view sets. Each case
+//! runs in the generated order and sorted by start, the engine's order.
 
 use proptest::prelude::*;
 
@@ -119,29 +120,35 @@ proptest! {
         width in prop_oneof![1usize..4, 1usize..50],
         class in 0usize..3,
     ) {
-        let want = best_fit(width, total, &running);
-        prop_assert_eq!(GangBinPack.place(class, width, total, &running), want);
-        prop_assert_eq!(PriorityPreempt.place(class, width, total, &running), want);
+        // Once as generated (best fit sorts a copy) and once sorted by
+        // start, the order the engine hands views over (swept in place).
+        let mut by_start = running.clone();
+        by_start.sort_by_key(|r| r.slots.start);
+        for running in [running, by_start] {
+            let want = best_fit(width, total, &running);
+            prop_assert_eq!(GangBinPack.place(class, width, total, &running), want);
+            prop_assert_eq!(PriorityPreempt.place(class, width, total, &running), want);
 
-        let gang_want = pending
-            .iter()
-            .enumerate()
-            .find_map(|(i, p)| best_fit(p.width, total, &running).map(|r| (i, r)));
-        prop_assert_eq!(GangBinPack.pick_next(&pending, total, &running), gang_want);
-        prop_assert_eq!(
-            PriorityPreempt.pick_next(&pending, total, &running),
-            priority_pick_next(&pending, total, &running)
-        );
+            let gang_want = pending
+                .iter()
+                .enumerate()
+                .find_map(|(i, p)| best_fit(p.width, total, &running).map(|r| (i, r)));
+            prop_assert_eq!(GangBinPack.pick_next(&pending, total, &running), gang_want);
+            prop_assert_eq!(
+                PriorityPreempt.pick_next(&pending, total, &running),
+                priority_pick_next(&pending, total, &running)
+            );
 
-        // The victim search asks whether the arrival would fit once every
-        // strictly lower class is gone; no victim is named when it would not.
-        let survivors: Vec<RunningView> =
-            running.iter().filter(|r| r.class >= class).copied().collect();
-        let victim = PriorityPreempt.victim(class, width, total, &running);
-        if best_fit(width, total, &survivors).is_none() {
-            prop_assert_eq!(victim, None);
-        } else {
-            prop_assert_eq!(victim.is_some(), running.iter().any(|r| r.class < class));
+            // The victim search asks whether the arrival would fit once every
+            // strictly lower class is gone; no victim is named when it would not.
+            let survivors: Vec<RunningView> =
+                running.iter().filter(|r| r.class >= class).copied().collect();
+            let victim = PriorityPreempt.victim(class, width, total, &running);
+            if best_fit(width, total, &survivors).is_none() {
+                prop_assert_eq!(victim, None);
+            } else {
+                prop_assert_eq!(victim.is_some(), running.iter().any(|r| r.class < class));
+            }
         }
     }
 }
